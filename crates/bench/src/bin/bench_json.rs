@@ -40,13 +40,13 @@ use std::sync::Arc;
 use mach_bench::json::{self, Json};
 use mach_bench::measure::{measured_parallel, SimTime};
 use mach_fs::{BlockDevice, SimFs};
-use mach_hw::machine::{Machine, MachineModel};
+use mach_hw::machine::{Machine, MachineCounts, MachineModel};
 use mach_pmap::{ShootdownPolicy, ShootdownStrategy};
 use mach_vm::kernel::Kernel;
 use mach_vm::types::Protection;
 use mach_vm::VmStats;
 
-const SCHEMA: &str = "mach-vm-bench-v4";
+const SCHEMA: &str = "mach-vm-bench-v5";
 const ALL_PORTS: [&str; 5] = ["vax", "romp", "sun3", "ns32082", "tlbsoft"];
 const ALL_CPUS: [usize; 4] = [1, 2, 4, 8];
 const WORKLOADS: [&str; 11] = [
@@ -562,6 +562,17 @@ fn stats_json(s: &VmStats) -> Json {
     ])
 }
 
+/// The row's cross-processor counters (schema v5), totalled over the
+/// whole run — set-up included, so a forced shootdown flush anywhere in
+/// the row fails gate 9.
+fn machine_json(m: MachineCounts) -> Json {
+    Json::obj(vec![
+        ("shootdown_timeouts", Json::UInt(m.shootdown_timeouts)),
+        ("ipis_sent", Json::UInt(m.ipis_sent)),
+        ("ipis_handled", Json::UInt(m.ipis_handled)),
+    ])
+}
+
 /// A `trace_replay_*` row: replay the named golden trace through the
 /// lockstep engine. Replay rows are fully deterministic (the engine
 /// serializes ops in recorded order even across CPUs), so both the times
@@ -589,6 +600,7 @@ fn replay_run(trace: &str, workload: &str, port: &str, cpus: usize) -> Json {
         ("elapsed_us", Json::UInt(outcome.time.elapsed_us)),
         ("stats", stats_json(&outcome.stats)),
         ("observables", Json::obj(fields)),
+        ("machine", machine_json(outcome.machine)),
     ])
 }
 
@@ -774,6 +786,7 @@ fn run_one(workload: &str, port: &str, cpus: usize) -> Json {
         ("health", health_json),
         ("causal", causal_json),
         ("locks", Json::Arr(locks_json)),
+        ("machine", machine_json(machine.stats.snapshot())),
     ];
     // Per-pager queue-depth gauges when the kernel runs a pager service
     // fleet. Pagers are reported by index, not raw port id: port ids come
@@ -938,7 +951,7 @@ fn gate_failure(workload: &str, port: &str, cpus: u64, msg: &str) -> String {
 }
 
 /// Compare fresh runs against a committed baseline; returns regression
-/// descriptions (empty = pass). Four gates:
+/// descriptions (empty = pass). Nine gates:
 ///
 /// 1. **1-CPU elapsed**: single-threaded rows are deterministic, so
 ///    elapsed_us growing past [`REGRESSION_FRAC`] fails. Multi-CPU rows
@@ -973,6 +986,11 @@ fn gate_failure(workload: &str, port: &str, cpus: u64, msg: &str) -> String {
 ///    exactly when it counted throttles, and any probe throttle must
 ///    show up in the row's `pager_throttles` stat — overflow is priced
 ///    iff it happened.
+/// 9. **No forced shootdowns** (self-gating): every row's
+///    `machine.shootdown_timeouts` must be 0. A waited shootdown ends
+///    when each target has acknowledged or gone quiescent; a timeout
+///    means some CPU waited in the kernel without parking, a protocol
+///    bug that costs host time the simulated clock never shows.
 fn check_regressions(current: &Json, baseline: &Json) -> Vec<String> {
     let key = |r: &Json| {
         (
@@ -1252,6 +1270,26 @@ fn check_regressions(current: &Json, baseline: &Json) -> Vec<String> {
             ));
         }
     }
+    // Gate 9: no shootdown ever fell back to a forced flush.
+    for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
+        let timeouts = run
+            .get("machine")
+            .and_then(|m| m.get("shootdown_timeouts"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0);
+        if timeouts > 0 {
+            let k = key(run);
+            out.push(gate_failure(
+                &k.0,
+                &k.1,
+                k.2,
+                &format!(
+                    "{timeouts} shootdown timeouts — a CPU waited in the kernel without \
+                     being quiescent"
+                ),
+            ));
+        }
+    }
     let mut reference: Vec<(String, Vec<(String, u64)>, (String, String, u64))> = Vec::new();
     for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
         let k = key(run);
@@ -1388,5 +1426,20 @@ mod tests {
                 .any(|m| m.starts_with("pager_fleet/romp/2 cpus:") && m.contains("pager 0")),
             "expected a row-scoped probe-pricing failure, got {msgs:?}"
         );
+    }
+
+    #[test]
+    fn forced_shootdown_fails_gate_nine() {
+        let doc = json::parse(
+            r#"{"runs":[
+                {"workload":"server_fleet","port":"sun3","cpus":2,
+                 "machine":{"shootdown_timeouts":3,"ipis_sent":9,"ipis_handled":9}},
+                {"workload":"server_fleet","port":"sun3","cpus":4,
+                 "machine":{"shootdown_timeouts":0,"ipis_sent":9,"ipis_handled":9}}]}"#,
+        )
+        .unwrap();
+        let msgs = check_regressions(&doc, &json::parse("{}").unwrap());
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(msgs[0].starts_with("server_fleet/sun3/2 cpus: 3 shootdown timeouts"));
     }
 }

@@ -43,7 +43,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 
 use mach_fs::{BlockDevice, FileId, SimFs};
-use mach_hw::machine::{Machine, MachineModel};
+use mach_hw::machine::{Machine, MachineCounts, MachineModel};
 use mach_vm::kernel::{BootOptions, Kernel};
 use mach_vm::{InjectPlan, Protection, Task, VmOp, VmStats};
 
@@ -170,6 +170,8 @@ pub struct ReplayOutcome {
     pub time: SimTime,
     /// The full [`VmStats`] delta over the replay.
     pub stats: VmStats,
+    /// The machine's cross-processor counters at the end of the replay.
+    pub machine: MachineCounts,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -395,7 +397,12 @@ pub fn replay_with_fleet(
         reactivations: stats.reactivations,
         shadow_depth_p95,
     };
-    Ok(ReplayOutcome { obs, time, stats })
+    Ok(ReplayOutcome {
+        obs,
+        time,
+        stats,
+        machine: machine.stats.snapshot(),
+    })
 }
 
 fn exec_op(

@@ -51,8 +51,9 @@ use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use mach_hw::machine::lock_quiescent;
 use mach_pmap::Pmap;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::ctx::CoreRefs;
 use crate::object::{self, VmObject};
@@ -483,6 +484,13 @@ impl VmMap {
         })
     }
 
+    /// Lock the entries. A holder may wait on an object lock whose holder
+    /// waits on a shootdown, so a contended acquisition waits quiescent
+    /// ([`lock_quiescent`]).
+    fn lock(&self) -> MutexGuard<'_, MapInner> {
+        lock_quiescent(&self.inner)
+    }
+
     /// The owning task's id (0 = kernel / sharing map).
     pub fn owner(&self) -> u64 {
         self.owner.load(std::sync::atomic::Ordering::Relaxed)
@@ -511,7 +519,7 @@ impl VmMap {
     /// Number of entries (a typical UNIX process has about five — §3.2;
     /// the fleet ablation builds maps of 10^6).
     pub fn entry_count(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.lock().entries.len()
     }
 
     /// Allocate zero-filled memory (the `vm_allocate` primitive).
@@ -572,7 +580,7 @@ impl VmMap {
         anywhere: bool,
     ) -> VmResult<u64> {
         let size = ctx.round_page(size);
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let start = match (addr, anywhere) {
             (Some(a), false) => {
                 if a % ctx.page_size != 0 {
@@ -615,7 +623,7 @@ impl VmMap {
 
     /// Insert a pre-built entry (fork, `vm_copy`).
     pub(crate) fn insert_entry(&self, entry: MapEntry) {
-        self.inner.lock().insert(entry);
+        self.lock().insert(entry);
     }
 
     /// Deallocate `[start, start+size)` (the `vm_deallocate` primitive).
@@ -637,7 +645,7 @@ impl VmMap {
         }
         let end = start + size;
         let removed: Vec<MapEntry> = {
-            let mut g = self.inner.lock();
+            let mut g = self.lock();
             let keys = g.clip_range(start, end, ctx);
             keys.into_iter().map(|k| g.unlink(k)).collect()
         };
@@ -685,7 +693,7 @@ impl VmMap {
         let end = start + size;
         let mut shared_updates: Vec<(Arc<VmMap>, u64, u64)> = Vec::new();
         {
-            let mut g = self.inner.lock();
+            let mut g = self.lock();
             let keys = g.clip_range(start, end, ctx);
             let covered: u64 = keys.iter().map(|&k| g.entry(k).size()).sum();
             if covered != size {
@@ -714,7 +722,7 @@ impl VmMap {
         }
         // Clipping may have split entries that are now identical again.
         self.release_targets(ctx, {
-            let mut g = self.inner.lock();
+            let mut g = self.lock();
             g.simplify(start.saturating_sub(1), end + 1, ctx)
         });
         // Apply to the hardware map of this task.
@@ -734,7 +742,7 @@ impl VmMap {
     /// off+len)` of this (sharing) map to at most `prot`.
     fn narrow_resident_hw(&self, ctx: &CoreRefs, off: u64, len: u64, prot: Protection) {
         let page = ctx.page_size;
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let keys = g.clip_range(off, off + len, ctx);
         let mut work = Vec::new();
         for k in keys {
@@ -749,9 +757,9 @@ impl VmMap {
         }
         for (object, obj_off, size) in work {
             // Snapshot the page list, then drop the object lock before
-            // the shootdowns: a faulting task on another CPU must be able
-            // to take this lock (and keep polling) while we wait for its
-            // TLB acknowledgement.
+            // the shootdowns. A faulting CPU that wanted it would wait
+            // quiescent and so could not stall them (the shootdown rule,
+            // DESIGN.md §8), but it need not wait at all.
             let pages: Vec<crate::page::PageId> = {
                 let s = object.lock();
                 s.resident
@@ -790,7 +798,7 @@ impl VmMap {
                 inheritance,
             });
         }
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let keys = g.clip_range(start, start + size, ctx);
         let covered: u64 = keys.iter().map(|&k| g.entry(k).size()).sum();
         if covered != size {
@@ -817,7 +825,7 @@ impl VmMap {
 
     /// Describe the regions of this map (the `vm_regions` primitive).
     pub fn regions(&self) -> Vec<RegionInfo> {
-        let g = self.inner.lock();
+        let g = self.lock();
         g.entries
             .values()
             .map(|e| {
@@ -848,7 +856,7 @@ impl VmMap {
     /// [`VmError::InvalidAddress`] when nothing is mapped at `addr`.
     pub fn resolve(self: &Arc<VmMap>, ctx: &CoreRefs, addr: u64) -> VmResult<Resolved> {
         let (target, prot, needs_copy, cow, wired, entry_start) = {
-            let mut g = self.inner.lock();
+            let mut g = self.lock();
             let k = g.lookup(addr, ctx).ok_or(VmError::InvalidAddress)?;
             let e = g.entry(k);
             (
@@ -905,7 +913,7 @@ impl VmMap {
         addr: u64,
         _had_needs_copy: bool,
     ) -> VmResult<()> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let k = g.lookup(addr, ctx).ok_or(VmError::InvalidAddress)?;
         let e = g.entry_mut(k);
         if !e.needs_copy {
@@ -943,7 +951,7 @@ impl VmMap {
     ///
     /// [`VmError::InvalidAddress`] if nothing is mapped at `addr`.
     pub fn share_entry(&self, ctx: &CoreRefs, addr: u64) -> VmResult<(Arc<VmMap>, u64, u64, u64)> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let k = g.lookup(addr, ctx).ok_or(VmError::InvalidAddress)?;
         let e = g.entry_mut(k);
         let (start, end) = (e.start, e.end);
@@ -985,15 +993,14 @@ impl VmMap {
     ///
     /// [`VmError::NoSpace`] when no gap is large enough.
     pub(crate) fn find_free(&self, size: u64) -> VmResult<u64> {
-        self.inner
-            .lock()
+        self.lock()
             .find_space(size, self.lo, self.hi)
             .ok_or(VmError::NoSpace)
     }
 
     /// Snapshot all entries (fork and `vm_copy` source scans).
     pub(crate) fn snapshot_entries(&self) -> Vec<MapEntry> {
-        self.inner.lock().entries.values().cloned().collect()
+        self.lock().entries.values().cloned().collect()
     }
 
     /// Clip the map at `[start, end)` boundaries and snapshot the covered
@@ -1009,7 +1016,7 @@ impl VmMap {
         start: u64,
         end: u64,
     ) -> VmResult<Vec<MapEntry>> {
-        let mut g = self.inner.lock();
+        let mut g = self.lock();
         let keys = g.clip_range(start, end, ctx);
         let covered: u64 = keys.iter().map(|&k| g.entry(k).size()).sum();
         if covered != end - start {
@@ -1039,7 +1046,7 @@ impl Drop for VmMap {
             return;
         };
         let entries: Vec<MapEntry> = {
-            let mut g = self.inner.lock();
+            let mut g = self.lock();
             g.hint = None;
             let mut v = Vec::with_capacity(g.entries.len());
             while let Some((_, e)) = g.entries.pop_first() {

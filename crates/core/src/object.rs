@@ -19,6 +19,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use mach_hw::machine::lock_quiescent;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::ctx::CoreRefs;
@@ -108,7 +109,7 @@ impl VmObject {
     pub fn new_with_pager(size: u64, pager: Arc<dyn Pager>, can_persist: bool) -> Arc<VmObject> {
         let o = VmObject::new_internal(size);
         {
-            let mut s = o.state.lock();
+            let mut s = o.lock();
             s.pager = Some(pager);
             s.internal = false;
             s.can_persist = can_persist;
@@ -121,13 +122,13 @@ impl VmObject {
     /// `backing`.
     pub fn new_shadow(size: u64, backing: &Arc<VmObject>, shadow_offset: u64) -> Arc<VmObject> {
         {
-            let mut b = backing.state.lock();
+            let mut b = backing.lock();
             b.ref_count += 1;
             b.shadow_count += 1;
         }
         let o = VmObject::new_internal(size);
         {
-            let mut s = o.state.lock();
+            let mut s = o.lock();
             s.shadow = Some(Arc::clone(backing));
             s.shadow_offset = shadow_offset;
         }
@@ -139,9 +140,11 @@ impl VmObject {
         self.id
     }
 
-    /// Lock the object state.
+    /// Lock the object state. A holder may shoot down (pageout under an
+    /// immediate policy) or wait on a CPU that does, so a contended
+    /// acquisition waits quiescent ([`lock_quiescent`]).
     pub fn lock(&self) -> MutexGuard<'_, ObjState> {
-        self.state.lock()
+        lock_quiescent(&self.state)
     }
 
     /// Try to lock the object state without blocking (the paging daemon
@@ -153,7 +156,7 @@ impl VmObject {
 
     /// Take an additional mapping reference.
     pub fn reference(&self) {
-        self.state.lock().ref_count += 1;
+        self.lock().ref_count += 1;
     }
 
     /// Length of the shadow chain hanging off this object (diagnostic;
@@ -162,7 +165,7 @@ impl VmObject {
         let mut n = 0;
         let mut cur = Arc::clone(self);
         loop {
-            let next = cur.state.lock().shadow.clone();
+            let next = cur.lock().shadow.clone();
             match next {
                 Some(s) => {
                     n += 1;
@@ -183,7 +186,7 @@ impl VmObject {
 /// a concurrent `claim_evict`: exactly one side wins the frame.
 fn release_pages(obj: &VmObject, ctx: &CoreRefs) {
     let victims: Vec<PageId> = {
-        let mut s = obj.state.lock();
+        let mut s = obj.lock();
         let offsets: Vec<u64> = s.resident.keys().copied().collect();
         let mut victims = Vec::new();
         for off in offsets {
@@ -222,7 +225,7 @@ fn release_pages(obj: &VmObject, ctx: &CoreRefs) {
 /// flag. Idempotent; the caller must hold no object locks.
 pub fn quarantine(obj: &Arc<VmObject>, ctx: &CoreRefs) {
     let victims: Vec<PageId> = {
-        let mut s = obj.state.lock();
+        let mut s = obj.lock();
         if s.pager_dead {
             return;
         }
@@ -255,7 +258,7 @@ pub fn quarantine(obj: &Arc<VmObject>, ctx: &CoreRefs) {
 /// reference. The caller must hold **no** object locks.
 pub fn terminate(obj: &Arc<VmObject>, ctx: &CoreRefs) {
     let (pager, shadow) = {
-        let mut s = obj.state.lock();
+        let mut s = obj.lock();
         if s.terminated {
             return;
         }
@@ -297,7 +300,7 @@ fn finish_terminate(
     }
     if let Some(sh) = shadow {
         {
-            let mut b = sh.state.lock();
+            let mut b = sh.lock();
             b.shadow_count = b.shadow_count.saturating_sub(1);
         }
         deallocate(&sh, ctx);
@@ -312,7 +315,7 @@ fn finish_terminate(
 /// it in the object cache (`pager_cache` semantics).
 pub fn deallocate(obj: &Arc<VmObject>, ctx: &CoreRefs) {
     let cache_me = {
-        let mut s = obj.state.lock();
+        let mut s = obj.lock();
         assert!(s.ref_count > 0, "over-deallocation of object {}", obj.id());
         s.ref_count -= 1;
         if s.ref_count > 0 {
@@ -383,7 +386,7 @@ pub fn collapse(obj: &Arc<VmObject>, ctx: &CoreRefs) {
     let mut cur = Arc::clone(obj);
     loop {
         collapse_level(&cur, ctx);
-        let next = cur.state.lock().shadow.clone();
+        let next = cur.lock().shadow.clone();
         match next {
             Some(n) => cur = n,
             None => return,
@@ -395,21 +398,21 @@ pub fn collapse(obj: &Arc<VmObject>, ctx: &CoreRefs) {
 fn collapse_level(obj: &Arc<VmObject>, ctx: &CoreRefs) {
     loop {
         let backing = {
-            let s = obj.state.lock();
+            let s = obj.lock();
             match &s.shadow {
                 Some(b) => Arc::clone(b),
                 None => return,
             }
         };
         // Lock order: front object, then backing (top-down).
-        let mut s = obj.state.lock();
+        let mut s = obj.lock();
         // Re-check: the chain may have changed while unlocked.
         let unchanged = matches!(&s.shadow, Some(b) if Arc::ptr_eq(b, &backing));
         if !unchanged {
             drop(s);
             continue;
         }
-        let mut b = backing.state.lock();
+        let mut b = backing.lock();
         if !b.internal || b.pager.is_some() || b.terminated || b.paging_in_progress > 0 {
             return;
         }
@@ -455,8 +458,8 @@ fn collapse_level(obj: &Arc<VmObject>, ctx: &CoreRefs) {
             if let Some(n) = &next {
                 // The front object takes over the reference the backing
                 // object held on the deeper shadow.
-                n.state.lock().ref_count += 1;
-                n.state.lock().shadow_count += 1;
+                n.lock().ref_count += 1;
+                n.lock().shadow_count += 1;
             }
             s.shadow = next;
             s.shadow_offset += b.shadow_offset;
@@ -482,7 +485,7 @@ fn collapse_level(obj: &Arc<VmObject>, ctx: &CoreRefs) {
         if obscured {
             let next = b.shadow.clone();
             if let Some(n) = &next {
-                let mut ns = n.state.lock();
+                let mut ns = n.lock();
                 ns.ref_count += 1;
                 ns.shadow_count += 1;
             }
@@ -601,7 +604,7 @@ impl ObjectCache {
         {
             let shard = self.shard(&ident);
             let mut g = self.shard_lock(shard);
-            let s = obj.state.lock();
+            let s = obj.lock();
             if s.ref_count > 0 || s.terminated {
                 return; // revived (or died) while we were parking it
             }
@@ -625,7 +628,7 @@ impl ObjectCache {
         self.parked.fetch_sub(1, Ordering::Relaxed);
         // Reference under the shard lock: every park/revive transition
         // serializes here, so two revivals can never share one count.
-        o.state.lock().ref_count += 1;
+        o.lock().ref_count += 1;
         drop(g);
         Some(o)
     }
@@ -642,12 +645,12 @@ impl ObjectCache {
         let mut g = self.shard_lock(self.shard(ident));
         if let Some((_stamp, o)) = g.map.remove(ident) {
             self.parked.fetch_sub(1, Ordering::Relaxed);
-            o.state.lock().ref_count += 1;
+            o.lock().ref_count += 1;
             drop(g);
             return Some(o);
         }
         if let Some(o) = g.live.get(ident).and_then(|w| w.upgrade()) {
-            let mut s = o.state.lock();
+            let mut s = o.lock();
             if !s.terminated {
                 // The object may be unreferenced and mid-park in
                 // `insert` (its Weak stays in the live index until
@@ -715,7 +718,7 @@ impl ObjectCache {
                 Some((s, _)) if *s == stamp => {
                     let (_, o) = g.map.remove(&ident).expect("present");
                     self.parked.fetch_sub(1, Ordering::Relaxed);
-                    let mut st = o.state.lock();
+                    let mut st = o.lock();
                     if st.ref_count > 0 || st.terminated {
                         None // revived through the live index; unparked, alive
                     } else {

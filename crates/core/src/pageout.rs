@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::ctx::CoreRefs;
+use crate::object::VmObject;
 use crate::page::{PageId, PageQueue};
 use crate::trace::{PagerMsg, TraceEvent};
 use crate::types::VmError;
@@ -134,19 +135,19 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
         return true;
     };
     let Some(mut s) = obj.try_lock_state() else {
-        ctx.resident.release_evict(page);
+        release_claim(ctx, &obj, page);
         return false; // contended; try another page
     };
     if s.resident.get(&ident.offset) != Some(&page) {
         drop(s);
-        ctx.resident.release_evict(page);
+        release_claim(ctx, &obj, page);
         return false; // identity changed under us
     }
     // Second chance: a referenced page goes back to the active queue.
     if ctx.machdep.is_referenced(pa, ps) {
         drop(s);
         ctx.machdep.clear_reference(pa, ps);
-        ctx.resident.release_evict(page);
+        release_claim(ctx, &obj, page);
         ctx.resident.set_queue(page, PageQueue::Active);
         ctx.stats.reactivations.fetch_add(1, Ordering::Relaxed);
         ctx.trace_emit(0, obj.id(), ident.offset, TraceEvent::Reactivate);
@@ -169,14 +170,7 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
         // stale data.
         drop(s);
         // ...and write only after every referencing TLB has been flushed.
-        if !pending.is_complete() {
-            ctx.machdep.update();
-            // A concurrent reclaimer may have drained our queue entries
-            // and still be executing them: wait for our own flushes (the
-            // timeout mirrors the hardware shootdown's forced-flush
-            // fallback).
-            pending.wait_complete(std::time::Duration::from_millis(200));
-        }
+        ctx.machdep.complete(&pending);
         let mut buf = vec![0u8; ps as usize];
         ctx.machine
             .phys()
@@ -218,9 +212,8 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
                 s.paging_in_progress -= 1;
             }
             ctx.resident.with_page(page, |p| p.dirty = true);
-            ctx.resident.release_evict(page);
             ctx.stats.failed_pageouts.fetch_add(1, Ordering::Relaxed);
-            obj.busy_wakeup.notify_all();
+            release_claim(ctx, &obj, page);
             return false;
         }
         {
@@ -240,10 +233,7 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
         s.resident.remove(&ident.offset);
         ctx.resident.clear_identity(page);
         drop(s);
-        if !pending.is_complete() {
-            ctx.machdep.update();
-            pending.wait_complete(std::time::Duration::from_millis(200));
-        }
+        ctx.machdep.complete(&pending);
         ctx.stats.reclaims.fetch_add(1, Ordering::Relaxed);
         ctx.trace_emit(0, obj.id(), ident.offset, TraceEvent::Reclaim);
     }
@@ -253,6 +243,16 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
     // refaults through the object.
     obj.busy_wakeup.notify_all();
     true
+}
+
+/// Give up an eviction claim and wake any fault that found the page busy
+/// and went to sleep on its object. Such a fault checks `busy` under the
+/// object lock, so taking that lock before notifying orders the wakeup
+/// after its check.
+fn release_claim(ctx: &CoreRefs, obj: &VmObject, page: PageId) {
+    ctx.resident.release_evict(page);
+    let _s = obj.lock();
+    obj.busy_wakeup.notify_all();
 }
 
 /// Clear leftover modify/reference attributes so the frame's next user
@@ -526,6 +526,59 @@ mod tests {
         reclaim(ctx, 4);
         let freed = reclaim(ctx, 4);
         assert!(freed > 0);
+        assert!(kernel.statistics().pageouts > 0);
+    }
+
+    /// Two CPUs reclaiming at once: each may drain deferred flushes the
+    /// other queued and shoot them down while the other waits for them.
+    /// The waiter is quiescent, so neither stalls the other.
+    #[test]
+    fn concurrent_reclaims_do_not_stall_each_other() {
+        let machine = Machine::boot(MachineModel::multimax(2));
+        let kernel = Kernel::boot(&machine);
+        let ctx = kernel.ctx();
+        let ps = kernel.page_size();
+        let pages = 64u64;
+        // Both CPUs' TLBs hold the task's pages, so every flush of them
+        // targets both CPUs.
+        let task = kernel.create_task();
+        let addr = task.map().allocate(ctx, None, pages * ps, true).unwrap();
+        task.user(0, |u| u.dirty_range(addr, pages * ps).unwrap());
+        task.user(1, |u| u.touch_range(addr, pages * ps).unwrap());
+        for p in ctx.resident.active_candidates(2 * pages as usize) {
+            ctx.resident.set_queue(p, PageQueue::Inactive);
+        }
+        reclaim(ctx, pages as usize); // ages reference bits
+        let barrier = std::sync::Barrier::new(2);
+        let slowest = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|cpu| {
+                    let (machine, barrier) = (&machine, &barrier);
+                    s.spawn(move || {
+                        let _b = machine.bind_cpu(cpu);
+                        barrier.wait();
+                        (0..4)
+                            .map(|_| {
+                                let t0 = std::time::Instant::now();
+                                reclaim(ctx, 8);
+                                t0.elapsed()
+                            })
+                            .max()
+                            .unwrap()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .max()
+                .unwrap()
+        });
+        assert_eq!(machine.stats.snapshot().shootdown_timeouts, 0);
+        assert!(
+            slowest < Duration::from_millis(100),
+            "a reclaim took {slowest:?}"
+        );
         assert!(kernel.statistics().pageouts > 0);
     }
 }

@@ -462,8 +462,11 @@ fn handle_pager_message_once(
                     ctx.resident.free_page(p);
                     obj.busy_wakeup.notify_all();
                 } else {
-                    drop(s);
+                    // Un-busy under the object lock, then wake: a fault
+                    // that saw the claim is asleep on this object.
                     ctx.resident.release_evict(p);
+                    drop(s);
+                    obj.busy_wakeup.notify_all();
                 }
             }
             if let Some(seq) = seq {

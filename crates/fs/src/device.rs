@@ -59,12 +59,13 @@ pub enum IoOp {
 /// without touching the medium.
 pub type IoFaultHook = Arc<dyn Fn(IoOp, u64) -> Option<IoError> + Send + Sync>;
 
-/// A fixed-size array of blocks behind a simulated disk arm.
+/// A fixed-size array of blocks behind a simulated disk arm. A block is
+/// allocated on its first write; until then it reads as zeros.
 pub struct BlockDevice {
     machine: Arc<Machine>,
     block_size: u64,
     n_blocks: u64,
-    data: Mutex<Vec<u8>>,
+    blocks: Mutex<Vec<Option<Box<[u8]>>>>,
     reads: AtomicU64,
     writes: AtomicU64,
     transferred: AtomicU64,
@@ -94,7 +95,7 @@ impl BlockDevice {
             machine: Arc::clone(machine),
             block_size,
             n_blocks,
-            data: Mutex::new(vec![0; (block_size * n_blocks) as usize]),
+            blocks: Mutex::new(vec![None; n_blocks as usize]),
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             transferred: AtomicU64::new(0),
@@ -153,9 +154,14 @@ impl BlockDevice {
         assert!(block + count <= self.n_blocks, "read past end of device");
         assert_eq!(buf.len() as u64, count * self.block_size);
         {
-            let g = self.data.lock();
-            let start = (block * self.block_size) as usize;
-            buf.copy_from_slice(&g[start..start + buf.len()]);
+            let g = self.blocks.lock();
+            let stored = &g[block as usize..(block + count) as usize];
+            for (dst, src) in buf.chunks_mut(self.block_size as usize).zip(stored) {
+                match src {
+                    Some(data) => dst.copy_from_slice(data),
+                    None => dst.fill(0),
+                }
+            }
         }
         self.reads.fetch_add(1, Ordering::Relaxed);
         self.charge(count);
@@ -170,9 +176,14 @@ impl BlockDevice {
         assert!(block + count <= self.n_blocks, "write past end of device");
         assert_eq!(buf.len() as u64, count * self.block_size);
         {
-            let mut g = self.data.lock();
-            let start = (block * self.block_size) as usize;
-            g[start..start + buf.len()].copy_from_slice(buf);
+            let mut g = self.blocks.lock();
+            let stored = &mut g[block as usize..(block + count) as usize];
+            for (src, slot) in buf.chunks(self.block_size as usize).zip(stored) {
+                match slot {
+                    Some(data) => data.copy_from_slice(src),
+                    None => *slot = Some(src.into()),
+                }
+            }
         }
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.charge(count);

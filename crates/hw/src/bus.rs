@@ -37,26 +37,38 @@ pub struct Ipi {
     pub ack: Option<Arc<AckLatch>>,
 }
 
-/// A countdown latch: the sender waits until every target acknowledges.
+/// A per-target acknowledgement latch: the sender waits until every
+/// target CPU has acknowledged, and can see *which* ones still owe an
+/// acknowledgement (so it can flush a target that went quiescent before
+/// answering). Acknowledging twice is harmless.
 #[derive(Debug)]
 pub struct AckLatch {
-    remaining: Mutex<usize>,
+    /// Bit `i` set: CPU `i` still owes an acknowledgement.
+    owing: Mutex<u64>,
     cv: Condvar,
 }
 
 impl AckLatch {
-    /// A latch expecting `n` acknowledgements.
-    pub fn new(n: usize) -> Arc<AckLatch> {
+    /// A latch expecting one acknowledgement from each CPU in `targets`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target id is 64 or more.
+    pub fn new(targets: &[usize]) -> Arc<AckLatch> {
+        let owing = targets.iter().fold(0u64, |m, &t| {
+            assert!(t < 64, "ack latch tracks at most 64 CPUs");
+            m | 1 << t
+        });
         Arc::new(AckLatch {
-            remaining: Mutex::new(n),
+            owing: Mutex::new(owing),
             cv: Condvar::new(),
         })
     }
 
-    /// Acknowledge once.
-    pub fn ack(&self) {
-        let mut g = self.remaining.lock();
-        *g = g.saturating_sub(1);
+    /// Record `cpu`'s acknowledgement.
+    pub fn ack(&self, cpu: usize) {
+        let mut g = self.owing.lock();
+        *g &= !(1u64 << cpu);
         if *g == 0 {
             self.cv.notify_all();
         }
@@ -65,12 +77,9 @@ impl AckLatch {
     /// Wait until all acknowledgements arrive or `timeout` elapses.
     /// Returns `true` if fully acknowledged.
     pub fn wait(&self, timeout: Duration) -> bool {
-        let mut g = self.remaining.lock();
-        if *g == 0 {
-            return true;
-        }
+        let mut g = self.owing.lock();
         let deadline = std::time::Instant::now() + timeout;
-        while *g > 0 {
+        while *g != 0 {
             if self.cv.wait_until(&mut g, deadline).timed_out() {
                 return *g == 0;
             }
@@ -78,9 +87,9 @@ impl AckLatch {
         true
     }
 
-    /// Remaining unacknowledged count.
-    pub fn remaining(&self) -> usize {
-        *self.remaining.lock()
+    /// Bitmask of the CPUs that still owe an acknowledgement.
+    pub fn owing(&self) -> u64 {
+        *self.owing.lock()
     }
 }
 
@@ -169,33 +178,34 @@ mod tests {
     }
 
     #[test]
-    fn ack_latch_counts_down() {
-        let latch = AckLatch::new(2);
+    fn ack_latch_tracks_each_target() {
+        let latch = AckLatch::new(&[1, 3]);
         assert!(!latch.wait(Duration::from_millis(1)));
-        latch.ack();
-        assert_eq!(latch.remaining(), 1);
-        latch.ack();
+        latch.ack(3);
+        assert_eq!(latch.owing(), 0b10);
+        // A repeated acknowledgement from the same CPU counts once.
+        latch.ack(3);
+        assert_eq!(latch.owing(), 0b10);
+        latch.ack(1);
         assert!(latch.wait(Duration::from_millis(1)));
-        // Extra acks do not underflow.
-        latch.ack();
-        assert_eq!(latch.remaining(), 0);
+        assert_eq!(latch.owing(), 0);
     }
 
     #[test]
     fn ack_latch_cross_thread() {
-        let latch = AckLatch::new(1);
+        let latch = AckLatch::new(&[1]);
         let l2 = latch.clone();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            l2.ack();
+            l2.ack(1);
         });
         assert!(latch.wait(Duration::from_secs(5)));
         t.join().unwrap();
     }
 
     #[test]
-    fn zero_latch_is_immediately_done() {
-        let latch = AckLatch::new(0);
+    fn empty_latch_is_immediately_done() {
+        let latch = AckLatch::new(&[]);
         assert!(latch.wait(Duration::from_millis(0)));
     }
 }

@@ -5,11 +5,13 @@
 //! simulated CPUs. A thread *binds* to a CPU with [`Machine::bind_cpu`];
 //! memory accesses and cost charges then flow to that CPU.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
+
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::{Access, Fault, PAddr, VAddr};
 use crate::arch::{self, ArchGlobal, ArchKind};
@@ -21,6 +23,14 @@ use crate::tlb::{FlushScope, TlbLookup};
 
 /// Bytes reserved at the bottom of physical memory for the boot image.
 pub const BOOT_RESERVED: u64 = 64 * 1024;
+
+/// How long a waited shootdown may go unacknowledged before the protocol
+/// is declared stuck. A correct run never gets near it: every target
+/// either polls (it is executing) or is quiescent (flushed directly), so
+/// the bound only has to outlast host preemption of a running target.
+/// Debug builds panic when it expires; release builds force the flush and
+/// count it in [`MachineStats::shootdown_timeouts`].
+const SHOOTDOWN_STUCK: Duration = Duration::from_secs(1);
 
 /// Static description of a machine configuration.
 ///
@@ -186,6 +196,29 @@ impl MachineModel {
 
 thread_local! {
     static BOUND_CPU: Cell<usize> = const { Cell::new(0) };
+    /// The machine whose CPU `BOUND_CPU` names, for [`lock_quiescent`].
+    static BOUND_MACHINE: RefCell<Weak<Machine>> = const { RefCell::new(Weak::new()) };
+}
+
+/// Acquire the kernel lock `m` on the calling thread.
+///
+/// Uncontended this is one `try_lock`. Contended, the thread's bound CPU
+/// waits for the lock quiescent ([`Machine::kernel_block`]): the holder
+/// may be a shootdown initiator waiting on this very CPU's
+/// acknowledgement, which a thread asleep on the lock could never send.
+/// Every lock another CPU may hold across a waited shootdown must be
+/// taken through this function. On a thread that owns no CPU it is a
+/// plain `lock`.
+pub fn lock_quiescent<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    if let Some(g) = m.try_lock() {
+        return g;
+    }
+    let machine = BOUND_MACHINE
+        .try_with(|b| b.borrow().upgrade())
+        .ok()
+        .flatten();
+    let _parked = machine.as_ref().map(|m| m.kernel_block());
+    m.lock()
 }
 
 /// The CPU id the calling thread is bound to (0 if it never bound one),
@@ -205,6 +238,7 @@ pub struct CpuBinding<'m> {
     machine: &'m Machine,
     cpu: usize,
     prev: usize,
+    prev_machine: Weak<Machine>,
     prev_active: bool,
     /// This binding took the CPU's thread-ownership (outermost binding on
     /// this thread); dropping it releases the CPU to other threads.
@@ -223,14 +257,15 @@ impl Drop for CpuBinding<'_> {
             *self.machine.cpus[self.cpu].owner.lock() = None;
         }
         BOUND_CPU.with(|b| b.set(self.prev));
+        BOUND_MACHINE.with(|b| *b.borrow_mut() = std::mem::take(&mut self.prev_machine));
     }
 }
 
-/// RAII marker from [`Machine::kernel_block`]: the bound CPU is parked
-/// deep in the kernel (sleeping on a busy page, waiting out a pager) and
+/// RAII marker from [`Machine::kernel_block`]: the bound CPU is waiting
+/// in the kernel (on a busy page, a pager, a contended kernel lock) and
 /// cannot be mid-access through its TLB. While held, the CPU reports
-/// inactive, so shootdowns flush its TLB directly instead of sending an
-/// IPI that can only time out — a sleeping thread services no interrupts.
+/// inactive, so shootdowns flush its TLB directly instead of waiting for
+/// an acknowledgement a sleeping thread cannot send.
 #[derive(Debug)]
 pub struct KernelBlock<'m> {
     cpu: Option<&'m Cpu>,
@@ -253,13 +288,38 @@ pub struct MachineStats {
     pub ipis_sent: AtomicU64,
     /// IPIs handled.
     pub ipis_handled: AtomicU64,
-    /// Shootdown waits that timed out and fell back to a direct flush.
+    /// Shootdown waits that timed out and fell back to a direct flush
+    /// (release builds only; a correct protocol never times out).
     pub shootdown_timeouts: AtomicU64,
+}
+
+impl MachineStats {
+    /// Copy the counters (each read independently).
+    pub fn snapshot(&self) -> MachineCounts {
+        MachineCounts {
+            ipis_sent: self.ipis_sent.load(Ordering::Relaxed),
+            ipis_handled: self.ipis_handled.load(Ordering::Relaxed),
+            shootdown_timeouts: self.shootdown_timeouts.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A copy of [`MachineStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MachineCounts {
+    /// IPIs sent.
+    pub ipis_sent: u64,
+    /// IPIs handled.
+    pub ipis_handled: u64,
+    /// Shootdown waits that timed out.
+    pub shootdown_timeouts: u64,
 }
 
 /// A complete simulated machine.
 #[derive(Debug)]
 pub struct Machine {
+    /// This machine's own `Arc`, recorded on the threads bound to it.
+    me: Weak<Machine>,
     model: MachineModel,
     phys: PhysMem,
     frames: FrameAlloc,
@@ -309,7 +369,8 @@ impl Machine {
             .map(|i| Cpu::new(i, model.kind, model.tlb_entries))
             .collect();
         let bus = InterruptBus::new(model.n_cpus);
-        Arc::new(Machine {
+        Arc::new_cyclic(|me| Machine {
+            me: me.clone(),
             model,
             phys,
             frames,
@@ -402,12 +463,14 @@ impl Machine {
             }
         };
         let prev = BOUND_CPU.with(|b| b.replace(id));
+        let prev_machine = BOUND_MACHINE.with(|b| b.replace(self.me.clone()));
         let prev_active = self.cpus[prev.min(self.cpus.len() - 1)].is_active();
         self.cpus[id].set_active(true);
         CpuBinding {
             machine: self,
             cpu: id,
             prev,
+            prev_machine,
             prev_active,
             acquired,
         }
@@ -471,22 +534,23 @@ impl Machine {
         }
         for ipi in self.bus.drain(id) {
             match ipi.kind {
-                IpiKind::FlushTlb(scope) => {
-                    self.cpus[id].tlb.lock().flush(scope);
-                }
-                IpiKind::FlushTlbMulti(scopes) => {
-                    let mut tlb = self.cpus[id].tlb.lock();
-                    for &scope in scopes.iter() {
-                        tlb.flush(scope);
-                    }
-                }
+                IpiKind::FlushTlb(scope) => self.flush_scopes(id, &[scope]),
+                IpiKind::FlushTlbMulti(scopes) => self.flush_scopes(id, &scopes),
                 IpiKind::Timer => {}
             }
             self.cpus[id].clock.charge(self.model.cost.ipi_handle);
             self.stats.ipis_handled.fetch_add(1, Ordering::Relaxed);
             if let Some(ack) = ipi.ack {
-                ack.ack();
+                ack.ack(id);
             }
+        }
+    }
+
+    /// Flush `scopes` from CPU `id`'s TLB under one lock acquisition.
+    fn flush_scopes(&self, id: usize, scopes: &[FlushScope]) {
+        let mut tlb = self.cpus[id].tlb.lock();
+        for &scope in scopes {
+            tlb.flush(scope);
         }
     }
 
@@ -506,22 +570,28 @@ impl Machine {
         self.cpus[id].tlb.lock().flush(scope);
     }
 
-    /// Mark the bound CPU quiescent for the duration of a kernel sleep
-    /// (waiting on a busy page or a pager reply). While the returned
-    /// guard lives, shootdowns aimed at this CPU flush its TLB directly
-    /// rather than interrupting a thread that cannot answer — without
-    /// this, every synchronous flush in the system stalls for the full
-    /// IPI timeout whenever any sibling CPU is parked in the kernel.
+    /// Mark the bound CPU quiescent while it waits in the kernel — on a
+    /// busy page, a pager reply, a contended kernel lock
+    /// ([`lock_quiescent`]). The shootdown protocol's rule is that a CPU
+    /// waiting in the kernel is quiescent: while the returned guard
+    /// lives, shootdowns aimed at this CPU flush its TLB directly instead
+    /// of waiting for an acknowledgement a sleeping thread cannot send.
+    /// IPIs already queued when the CPU parks are answered here, so an
+    /// initiator that saw this CPU active a moment ago is not left
+    /// waiting either.
     ///
-    /// Legal because the sleeping thread is not mid-access: the access
+    /// Legal because the waiting thread is not mid-access: the access
     /// that led here has already faulted and will restart from the
     /// hardware table walk when the thread resumes. A no-op when the
-    /// calling thread does not own a CPU (kernel daemons, tests).
+    /// calling thread does not own a CPU (kernel daemons, tests) or the
+    /// CPU is already parked.
     pub fn kernel_block(&self) -> KernelBlock<'_> {
-        let cpu = &self.cpus[self.current_cpu()];
+        let id = self.current_cpu();
+        let cpu = &self.cpus[id];
         let owned = *cpu.owner.lock() == Some(std::thread::current().id());
         if owned && cpu.is_active() {
             cpu.set_active(false);
+            self.poll_cpu(id);
             KernelBlock { cpu: Some(cpu) }
         } else {
             KernelBlock { cpu: None }
@@ -532,10 +602,14 @@ impl Machine {
     /// *active* targets to acknowledge.
     ///
     /// Quiescent targets are flushed directly (nothing can be running
-    /// through their TLBs). If an active target fails to acknowledge
-    /// within 100 ms (it is blocked inside the kernel, not touching user
-    /// memory), the flush is forced and counted in
-    /// [`MachineStats::shootdown_timeouts`].
+    /// through their TLBs). Acknowledgement is per target: a target that
+    /// goes quiescent after its IPI was sent is flushed directly too, so
+    /// the wait ends as soon as every target has either answered or
+    /// parked. No host timer decides correctness — a wait still open
+    /// after one second means a CPU is blocked in the kernel without
+    /// being quiescent, a protocol bug: debug builds panic naming the
+    /// CPUs that owe an acknowledgement, release builds force the flush
+    /// and count it in [`MachineStats::shootdown_timeouts`].
     ///
     /// Returns the number of IPIs actually sent.
     pub fn shootdown(&self, targets: &[usize], scope: FlushScope, wait: bool) -> usize {
@@ -556,16 +630,10 @@ impl Machine {
         let me = self.current_cpu();
         let mut live = Vec::new();
         for &t in targets {
-            if t == me {
-                for &scope in scopes {
-                    self.flush_local(scope);
-                }
-            } else if self.cpus[t].is_active() {
+            if t != me && self.cpus[t].is_active() {
                 live.push(t);
             } else {
-                for &scope in scopes {
-                    self.flush_quiescent(t, scope);
-                }
+                self.flush_scopes(t, scopes);
             }
         }
         if live.is_empty() {
@@ -576,11 +644,7 @@ impl Machine {
         } else {
             IpiKind::FlushTlbMulti(scopes.into())
         };
-        let ack = if wait {
-            Some(AckLatch::new(live.len()))
-        } else {
-            None
-        };
+        let ack = wait.then(|| AckLatch::new(&live));
         for &t in &live {
             self.bus.send(
                 t,
@@ -593,22 +657,41 @@ impl Machine {
             self.stats.ipis_sent.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(latch) = ack {
-            // Keep servicing our *own* incoming IPIs while waiting —
-            // real kernels leave interrupts enabled here, and without it
-            // concurrent shootdowns deadlock against each other.
-            let deadline = std::time::Instant::now() + Duration::from_millis(100);
+            let deadline = Instant::now() + SHOOTDOWN_STUCK;
             loop {
+                // Keep servicing our *own* incoming IPIs while waiting —
+                // real kernels leave interrupts enabled here, and without
+                // it concurrent shootdowns deadlock against each other.
                 self.poll_cpu(me);
+                // A target that parked after its IPI went out answers it
+                // only when it wakes; parked, it cannot be mid-access, so
+                // flush it now and take that as its acknowledgement.
+                let owing = latch.owing();
+                for &t in live.iter().filter(|&&t| owing & (1 << t) != 0) {
+                    if !self.cpus[t].is_active() {
+                        self.flush_scopes(t, scopes);
+                        latch.ack(t);
+                    }
+                }
                 if latch.wait(Duration::from_millis(1)) {
                     break;
                 }
-                if std::time::Instant::now() >= deadline {
-                    // Forced flush: targets are stalled inside the kernel
-                    // and cannot be mid-access through their TLBs.
-                    for &t in &live {
-                        for &scope in scopes {
-                            self.flush_quiescent(t, scope);
-                        }
+                if Instant::now() >= deadline {
+                    let owing = latch.owing();
+                    let stuck: Vec<usize> = live
+                        .iter()
+                        .copied()
+                        .filter(|&t| owing & (1 << t) != 0)
+                        .collect();
+                    if cfg!(debug_assertions) {
+                        panic!(
+                            "shootdown from CPU {me} stuck: CPUs {stuck:?} never acknowledged \
+                             within {SHOOTDOWN_STUCK:?} — a CPU waiting in the kernel must be \
+                             quiescent (Machine::kernel_block, lock_quiescent)"
+                        );
+                    }
+                    for &t in &stuck {
+                        self.flush_scopes(t, scopes);
                     }
                     self.stats
                         .shootdown_timeouts
@@ -822,6 +905,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn boot_each_model() {
@@ -931,8 +1015,15 @@ mod tests {
         assert_eq!(m.stats.shootdown_timeouts.load(Ordering::Relaxed), 0);
     }
 
+    /// A target that claims to be executing but never polls is a protocol
+    /// bug: debug builds name it in a panic, release builds force the
+    /// flush and count it.
     #[test]
-    fn shootdown_timeout_forces_flush() {
+    #[cfg_attr(
+        debug_assertions,
+        should_panic(expected = "stuck: CPUs [1] never acknowledged")
+    )]
+    fn stuck_shootdown_fails_loudly() {
         let m = Machine::boot(MachineModel::vax_11_784());
         // CPU 1 claims to be active but nobody polls it.
         m.cpu(1).set_active(true);
@@ -940,5 +1031,117 @@ mod tests {
         let sent = m.shootdown(&[1], FlushScope::All, true);
         assert_eq!(sent, 1);
         assert_eq!(m.stats.shootdown_timeouts.load(Ordering::Relaxed), 1);
+    }
+
+    /// Waits for `flag` without servicing any IPI.
+    fn spin_until(flag: impl Fn() -> bool) {
+        while !flag() {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Raises its flag when dropped, so helper threads waiting on it
+    /// finish even when the test body panics inside a thread scope.
+    struct RaiseOnDrop<'a>(&'a AtomicBool);
+
+    impl Drop for RaiseOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn ipi_queued_before_kernel_block_is_answered_at_park() {
+        let m = Machine::boot(MachineModel::vax_11_784());
+        let bound = AtomicBool::new(false);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let _done = RaiseOnDrop(&done);
+            s.spawn(|| {
+                let _b = m.bind_cpu(1);
+                bound.store(true, Ordering::SeqCst);
+                // Never polls: once the IPI is queued, go to sleep in the
+                // kernel.
+                spin_until(|| m.stats.ipis_sent.load(Ordering::SeqCst) == 1);
+                let _q = m.kernel_block();
+                spin_until(|| done.load(Ordering::SeqCst));
+            });
+            spin_until(|| bound.load(Ordering::SeqCst));
+            let _b = m.bind_cpu(0);
+            let t0 = Instant::now();
+            assert_eq!(m.shootdown(&[1], FlushScope::All, true), 1);
+            let took = t0.elapsed();
+            assert!(took < Duration::from_millis(100), "waited {took:?}");
+        });
+        assert_eq!(m.stats.shootdown_timeouts.load(Ordering::Relaxed), 0);
+        assert_eq!(m.stats.ipis_handled.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn acknowledgement_is_per_target() {
+        let m = Machine::boot(MachineModel::vax_11_784());
+        // CPU 2 holds a translation the shootdown must remove.
+        m.cpu(2)
+            .tlb
+            .lock()
+            .insert(0, 5, crate::addr::Pfn(1), crate::addr::HwProt::READ, false);
+        let ready = AtomicU64::new(0);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let _done = RaiseOnDrop(&done);
+            // CPU 1 is executing and acknowledges by polling.
+            s.spawn(|| {
+                let _b = m.bind_cpu(1);
+                ready.fetch_add(1, Ordering::SeqCst);
+                while !done.load(Ordering::SeqCst) {
+                    m.poll();
+                }
+            });
+            // CPU 2 goes idle once both IPIs are queued, without polling:
+            // it still owes its acknowledgement, but it is quiescent.
+            s.spawn(|| {
+                let _b = m.bind_cpu(2);
+                ready.fetch_add(1, Ordering::SeqCst);
+                spin_until(|| m.stats.ipis_sent.load(Ordering::SeqCst) == 2);
+            });
+            spin_until(|| ready.load(Ordering::SeqCst) == 2);
+            let _b = m.bind_cpu(0);
+            let t0 = Instant::now();
+            assert_eq!(m.shootdown(&[1, 2], FlushScope::All, true), 2);
+            let took = t0.elapsed();
+            assert!(took < Duration::from_millis(100), "waited {took:?}");
+        });
+        assert_eq!(m.stats.shootdown_timeouts.load(Ordering::Relaxed), 0);
+        assert_eq!(m.cpu(2).tlb.lock().iter().count(), 0, "CPU 2 flushed");
+    }
+
+    #[test]
+    fn lock_quiescent_parks_only_when_contended() {
+        let m = Machine::boot(MachineModel::vax_11_784());
+        let lock = Mutex::new(0u32);
+        let _b = m.bind_cpu(1);
+        // Uncontended: the CPU stays active.
+        *lock_quiescent(&lock) += 1;
+        assert!(m.cpu(1).is_active());
+        std::thread::scope(|s| {
+            let held = lock.lock();
+            let waiter = s.spawn(|| {
+                let _b = m.bind_cpu(2);
+                *lock_quiescent(&lock) += 1;
+                m.cpu(2).is_active()
+            });
+            // Contended: CPU 2 waits for the lock parked.
+            let t0 = Instant::now();
+            while m.cpu(2).is_active() || m.cpu(2).owner.lock().is_none() {
+                assert!(t0.elapsed() < Duration::from_secs(5), "CPU 2 never parked");
+                std::hint::spin_loop();
+            }
+            drop(held);
+            assert!(
+                waiter.join().unwrap(),
+                "active again once it holds the lock"
+            );
+        });
+        assert_eq!(*lock.lock(), 2);
     }
 }

@@ -6,7 +6,9 @@
 //! hole or an out-of-range address is a bus error.
 //!
 //! Storage is striped across chunk locks so that several simulated CPUs can
-//! access disjoint pages concurrently, as on a real shared-memory bus.
+//! access disjoint pages concurrently, as on a real shared-memory bus. A
+//! stripe is allocated on its first write: until then it reads as zeros,
+//! so booting a machine costs no host memory for RAM nothing has used.
 
 use std::ops::Range;
 
@@ -16,6 +18,9 @@ use crate::addr::{PAddr, Pfn};
 
 const CHUNK_SHIFT: u32 = 16; // 64 KiB per lock stripe
 const CHUNK_SIZE: u64 = 1 << CHUNK_SHIFT;
+
+/// One lock stripe: `None` until first written (all zeros).
+type Stripe = RwLock<Option<Box<[u8]>>>;
 
 /// An invalid physical access (out of range or into a hole).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +53,7 @@ impl std::error::Error for BusError {}
 pub struct PhysMem {
     size: u64,
     holes: Vec<Range<u64>>,
-    chunks: Vec<RwLock<Box<[u8]>>>,
+    chunks: Vec<Stripe>,
 }
 
 impl PhysMem {
@@ -66,16 +71,19 @@ impl PhysMem {
             assert!(h.start < h.end && h.end <= size, "hole out of range");
         }
         let n_chunks = size.div_ceil(CHUNK_SIZE) as usize;
-        let mut chunks = Vec::with_capacity(n_chunks);
-        for i in 0..n_chunks {
-            let len = (size - i as u64 * CHUNK_SIZE).min(CHUNK_SIZE) as usize;
-            chunks.push(RwLock::new(vec![0u8; len].into_boxed_slice()));
-        }
         PhysMem {
             size,
             holes,
-            chunks,
+            chunks: (0..n_chunks).map(|_| RwLock::new(None)).collect(),
         }
+    }
+
+    /// Run `f` on stripe `chunk`'s bytes under its write lock, allocating
+    /// the stripe (zeroed) on its first write.
+    fn with_stripe_mut<R>(&self, chunk: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        let mut guard = self.chunks[chunk].write();
+        let len = (self.size - chunk as u64 * CHUNK_SIZE).min(CHUNK_SIZE) as usize;
+        f(guard.get_or_insert_with(|| vec![0u8; len].into_boxed_slice()))
     }
 
     /// Total address-space size in bytes (including holes).
@@ -112,16 +120,12 @@ impl PhysMem {
     /// [`BusError`] if the range leaves memory or touches a hole.
     pub fn read(&self, pa: PAddr, buf: &mut [u8]) -> Result<(), BusError> {
         self.check(pa, buf.len() as u64)?;
-        let mut off = pa.0;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let chunk = (off >> CHUNK_SHIFT) as usize;
-            let within = (off & (CHUNK_SIZE - 1)) as usize;
-            let take = (CHUNK_SIZE as usize - within).min(buf.len() - done);
-            let guard = self.chunks[chunk].read();
-            buf[done..done + take].copy_from_slice(&guard[within..within + take]);
-            off += take as u64;
-            done += take;
+        for (chunk, within, at, take) in pieces(pa, buf.len()) {
+            let dst = &mut buf[at..at + take];
+            match &*self.chunks[chunk].read() {
+                Some(bytes) => dst.copy_from_slice(&bytes[within..within + take]),
+                None => dst.fill(0),
+            }
         }
         Ok(())
     }
@@ -133,16 +137,10 @@ impl PhysMem {
     /// [`BusError`] if the range leaves memory or touches a hole.
     pub fn write(&self, pa: PAddr, buf: &[u8]) -> Result<(), BusError> {
         self.check(pa, buf.len() as u64)?;
-        let mut off = pa.0;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let chunk = (off >> CHUNK_SHIFT) as usize;
-            let within = (off & (CHUNK_SIZE - 1)) as usize;
-            let take = (CHUNK_SIZE as usize - within).min(buf.len() - done);
-            let mut guard = self.chunks[chunk].write();
-            guard[within..within + take].copy_from_slice(&buf[done..done + take]);
-            off += take as u64;
-            done += take;
+        for (chunk, within, at, take) in pieces(pa, buf.len()) {
+            self.with_stripe_mut(chunk, |bytes| {
+                bytes[within..within + take].copy_from_slice(&buf[at..at + take]);
+            });
         }
         Ok(())
     }
@@ -181,10 +179,11 @@ impl PhysMem {
         let within = (pa.0 & (CHUNK_SIZE - 1)) as usize;
         // A PTE never straddles a 64 KiB stripe (stripes are PTE-aligned).
         if within + 4 <= CHUNK_SIZE as usize {
-            let mut guard = self.chunks[chunk].write();
-            let old = u32::from_le_bytes(guard[within..within + 4].try_into().unwrap());
-            guard[within..within + 4].copy_from_slice(&f(old).to_le_bytes());
-            Ok(old)
+            Ok(self.with_stripe_mut(chunk, |bytes| {
+                let old = u32::from_le_bytes(bytes[within..within + 4].try_into().unwrap());
+                bytes[within..within + 4].copy_from_slice(&f(old).to_le_bytes());
+                old
+            }))
         } else {
             let old = self.read_u32(pa)?;
             self.write_u32(pa, f(old))?;
@@ -199,16 +198,11 @@ impl PhysMem {
     /// [`BusError`] as for [`PhysMem::write`].
     pub fn zero(&self, pa: PAddr, len: u64) -> Result<(), BusError> {
         self.check(pa, len)?;
-        let mut off = pa.0;
-        let mut left = len;
-        while left > 0 {
-            let chunk = (off >> CHUNK_SHIFT) as usize;
-            let within = (off & (CHUNK_SIZE - 1)) as usize;
-            let take = (CHUNK_SIZE - within as u64).min(left) as usize;
-            let mut guard = self.chunks[chunk].write();
-            guard[within..within + take].fill(0);
-            off += take as u64;
-            left -= take as u64;
+        for (chunk, within, _, take) in pieces(pa, len as usize) {
+            // A stripe never written is zero already: leave it unallocated.
+            if let Some(bytes) = self.chunks[chunk].write().as_mut() {
+                bytes[within..within + take].fill(0);
+            }
         }
         Ok(())
     }
@@ -232,6 +226,22 @@ impl PhysMem {
         self.read(src, &mut buf)?;
         self.write(dst, &buf)
     }
+}
+
+/// The stripe pieces of the `len` bytes at `pa`, as `(stripe, offset in
+/// the stripe, offset in the range, length)`.
+fn pieces(pa: PAddr, len: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let off = pa.0 + done as u64;
+            let within = (off & (CHUNK_SIZE - 1)) as usize;
+            let take = (CHUNK_SIZE as usize - within).min(len - done);
+            let piece = ((off >> CHUNK_SHIFT) as usize, within, done, take);
+            done += take;
+            piece
+        })
+    })
 }
 
 /// Boot-time allocator of hardware page frames.

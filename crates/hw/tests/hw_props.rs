@@ -16,28 +16,39 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random writes at random addresses (many straddling the 64 KiB lock
-    /// stripes) read back exactly, against a flat reference model.
+    /// Random writes and zeroings at random addresses (many straddling the
+    /// 64 KiB lock stripes) read back exactly, against a flat reference
+    /// model. Most of the 16 stripes are never written: memory is
+    /// allocated on first write, and every range no write reached must
+    /// read zero — including one a `zero` touched first.
     #[test]
     fn phys_mem_is_a_byte_store(
         ops in proptest::collection::vec(
-            (0u64..(1 << 18) - 64, proptest::collection::vec(any::<u8>(), 1..64)),
+            (0u64..(1 << 20) - 64, proptest::collection::vec(any::<u8>(), 1..64), any::<bool>()),
             1..40
-        )
+        ),
+        probes in proptest::collection::vec((0u64..(1 << 20) - 256, 1usize..256), 1..20),
     ) {
-        let mem = PhysMem::new(1 << 18, Vec::new());
-        let mut model = vec![0u8; 1 << 18];
-        for (addr, data) in &ops {
-            mem.write(PAddr(*addr), data).unwrap();
-            model[*addr as usize..*addr as usize + data.len()].copy_from_slice(data);
+        let mem = PhysMem::new(1 << 20, Vec::new());
+        let mut model = vec![0u8; 1 << 20];
+        for (addr, data, zero) in &ops {
+            let range = *addr as usize..*addr as usize + data.len();
+            if *zero {
+                mem.zero(PAddr(*addr), data.len() as u64).unwrap();
+                model[range].fill(0);
+            } else {
+                mem.write(PAddr(*addr), data).unwrap();
+                model[range].copy_from_slice(data);
+            }
         }
-        // Readback at every op's location plus spot checks.
-        for (addr, data) in &ops {
-            let mut buf = vec![0u8; data.len()];
-            mem.read(PAddr(*addr), &mut buf).unwrap();
-            prop_assert_eq!(&buf, &model[*addr as usize..*addr as usize + data.len()]);
+        // Readback at every op's location, at random probes, then whole.
+        let locations = ops.iter().map(|(a, d, _)| (*a, d.len()));
+        for (addr, len) in locations.chain(probes.iter().copied()) {
+            let mut buf = vec![0xA5u8; len];
+            mem.read(PAddr(addr), &mut buf).unwrap();
+            prop_assert_eq!(&buf, &model[addr as usize..addr as usize + len]);
         }
-        let mut all = vec![0u8; 1 << 18];
+        let mut all = vec![0xA5u8; 1 << 20];
         mem.read(PAddr(0), &mut all).unwrap();
         prop_assert_eq!(all, model);
     }

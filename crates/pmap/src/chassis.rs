@@ -574,6 +574,10 @@ impl<F: PortFactory> MachDep for ChassisMachDep<F> {
         self.core.update();
     }
 
+    fn complete(&self, pending: &Pending) {
+        self.core.complete(pending);
+    }
+
     fn set_shootdown_policy(&self, policy: ShootdownPolicy) {
         *self.core.policy.write() = policy;
     }

@@ -203,6 +203,24 @@ impl MdCore {
         }
     }
 
+    /// Complete `pending` now: run the deferred flushes, then wait until
+    /// every flush behind the token has executed. A concurrent `update`
+    /// may have drained this token's entries and still be running them —
+    /// possibly waiting on this CPU's acknowledgement — so the wait is
+    /// quiescent ([`Machine::kernel_block`]), which answers that
+    /// shootdown instead of stalling it. No timer: the other `update`
+    /// finishes because nothing it waits on is blocked by this one.
+    pub fn complete(&self, pending: &Pending) {
+        if pending.is_complete() {
+            return;
+        }
+        self.update();
+        let _q = self.machine.kernel_block();
+        while !pending.is_complete() {
+            std::thread::yield_now();
+        }
+    }
+
     /// Tell the installed observer (if any) about one issued round.
     fn notify_round(&self, cpu_mask: u64, pages: u64) {
         if let Some(obs) = self.observer.read().as_ref() {

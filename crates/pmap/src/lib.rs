@@ -223,20 +223,6 @@ impl Pending {
     pub fn is_complete(&self) -> bool {
         self.flags.iter().all(|f| f.load(Ordering::Acquire))
     }
-
-    /// Spin (yielding) until complete or `timeout` elapses — needed when
-    /// a concurrent [`MachDep::update`] drained this token's queue entries
-    /// and is still executing them. Returns completion status.
-    pub fn wait_complete(&self, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        while !self.is_complete() {
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::yield_now();
-        }
-        true
-    }
 }
 
 /// Counters kept by the machine-dependent layer.
@@ -353,6 +339,12 @@ pub trait MachDep: Send + Sync + fmt::Debug {
 
     /// `pmap_update`: complete every deferred invalidation now.
     fn update(&self);
+
+    /// `pmap_update` for one token: returns once every flush behind
+    /// `pending` has executed, including flushes a concurrent
+    /// [`MachDep::update`] drained and is still running. The caller waits
+    /// quiescent, so it never stalls that concurrent shootdown.
+    fn complete(&self, pending: &Pending);
 
     /// Replace the shootdown policy (ablations).
     fn set_shootdown_policy(&self, policy: ShootdownPolicy);

@@ -23,7 +23,7 @@ use mach_hw::arch::sun3::{
     Sun3Mmu, Sun3Pte, NO_PMEG, N_CONTEXTS, N_PMEGS, PTES_PER_PMEG, SEGS_PER_CONTEXT,
 };
 use mach_hw::arch::{ArchGlobal, CpuRegs};
-use mach_hw::machine::Machine;
+use mach_hw::machine::{lock_quiescent, Machine};
 use mach_hw::tlb::FlushScope;
 use parking_lot::{Mutex, MutexGuard};
 
@@ -81,7 +81,7 @@ impl PortFactory for Sun3Factory {
     type Tables = Sun3Tables;
 
     fn new_tables(&self, core: &Arc<MdCore>, id: u64, shared: &Arc<PortShared>) -> Sun3Tables {
-        self.world.lock().pmaps.insert(
+        lock_quiescent(&self.world).pmaps.insert(
             id,
             Sun3Sw {
                 context: None,
@@ -314,8 +314,10 @@ impl HwTables for Sun3Tables {
 
     const PAGE_SIZE: u64 = PAGE;
 
+    /// Context and pmeg steals shoot down while holding the world, so a
+    /// CPU that has to wait for it waits quiescent.
     fn lock(&self) -> MutexGuard<'_, Sun3World> {
-        self.world.lock()
+        lock_quiescent(&self.world)
     }
 
     fn check_range(&self, va: VAddr, size: u64) {
@@ -582,6 +584,58 @@ mod tests {
         assert_eq!(md.mapping_count(pa), 0);
         assert!(machine.load_u32(VAddr(0x2000)).is_err());
         assert!(md.is_modified(pa, PAGE), "modify bit survived removal");
+    }
+
+    /// A context steal shoots down while holding the world. A sibling CPU
+    /// blocked on the world at that moment must not stall it: it waits
+    /// for the lock quiescent, so its TLB is flushed directly.
+    #[test]
+    fn steal_under_the_world_lock_does_not_wait_on_a_blocked_cpu() {
+        let mut model = MachineModel::sun_3_160();
+        model.n_cpus = 2;
+        let machine = Machine::boot(model);
+        let core = Arc::new(MdCore::new(&machine));
+        let factory = Sun3Factory {
+            world: Arc::new(Mutex::new(Sun3World::new())),
+        };
+        let tables: Vec<Sun3Tables> = (0..=N_CONTEXTS as u64)
+            .map(|id| factory.new_tables(&core, id, &Arc::new(PortShared::default())))
+            .collect();
+        // Every context is owned, by pmaps that are not running.
+        for t in &tables[..N_CONTEXTS] {
+            let mut g = t.lock();
+            t.ensure_context(&mut g);
+        }
+        let bound = std::sync::atomic::AtomicBool::new(false);
+        let _b = machine.bind_cpu(0);
+        std::thread::scope(|s| {
+            // Held inside the scope, so a failing steal releases it
+            // before the scope joins CPU 1.
+            let mut world = tables[N_CONTEXTS].lock();
+            s.spawn(|| {
+                let _b = machine.bind_cpu(1);
+                bound.store(true, Ordering::SeqCst);
+                drop(tables[0].lock());
+            });
+            // Let CPU 1 block on the world we hold. It parks at once; a
+            // CPU that failed to park gets time to block anyway.
+            let t0 = std::time::Instant::now();
+            while (!bound.load(Ordering::SeqCst) || machine.cpu(1).is_active())
+                && t0.elapsed() < std::time::Duration::from_millis(50)
+            {
+                std::hint::spin_loop();
+            }
+            let t0 = std::time::Instant::now();
+            tables[N_CONTEXTS].ensure_context(&mut world);
+            let took = t0.elapsed();
+            drop(world);
+            assert!(
+                took < std::time::Duration::from_millis(100),
+                "waited {took:?}"
+            );
+        });
+        assert_eq!(core.counters.snapshot().context_steals, 1);
+        assert_eq!(machine.stats.snapshot().shootdown_timeouts, 0);
     }
 
     #[test]
