@@ -24,7 +24,7 @@
 //! injection re-run the handler), and the proxy records only
 //! `max(completed, seq)` — a duplicated or re-sent recall converges to
 //! the same state. The proxy re-sends an unacknowledged recall after
-//! [`RECALL_RESEND`], which also covers *delayed* messages.
+//! `RECALL_RESEND` (200 ms), which also covers *delayed* messages.
 //!
 //! The proxy drains both kernels' pager ports through one
 //! [`mach_ipc::PortSet`] — the netmsg server is a single task

@@ -202,9 +202,7 @@ fn release_pages(obj: &VmObject, ctx: &CoreRefs) {
         // No mapping (and no stale modify/reference attribute) may
         // survive the page's death.
         let pa = page.base(ctx.page_size);
-        ctx.machdep.remove_all(pa, ctx.page_size);
-        ctx.machdep.clear_modify(pa, ctx.page_size);
-        ctx.machdep.clear_reference(pa, ctx.page_size);
+        ctx.machdep.page_free(pa, ctx.page_size);
         ctx.resident.with_page(page, |p| {
             p.wire_count = 0;
         });
@@ -245,9 +243,7 @@ pub fn quarantine(obj: &Arc<VmObject>, ctx: &CoreRefs) {
     };
     for page in victims {
         let pa = page.base(ctx.page_size);
-        ctx.machdep.remove_all(pa, ctx.page_size);
-        ctx.machdep.clear_modify(pa, ctx.page_size);
-        ctx.machdep.clear_reference(pa, ctx.page_size);
+        ctx.machdep.page_free(pa, ctx.page_size);
         ctx.resident.free_page(page);
     }
     ctx.stats.pager_deaths.fetch_add(1, Ordering::Relaxed);
@@ -441,9 +437,7 @@ fn collapse_level(obj: &Arc<VmObject>, ctx: &CoreRefs) {
             drop(s);
             for page in orphans {
                 let pa = page.base(ctx.page_size);
-                ctx.machdep.remove_all(pa, ctx.page_size);
-                ctx.machdep.clear_modify(pa, ctx.page_size);
-                ctx.machdep.clear_reference(pa, ctx.page_size);
+                ctx.machdep.page_free(pa, ctx.page_size);
                 ctx.resident.free_page(page);
             }
             ctx.stats.collapses.fetch_add(1, Ordering::Relaxed);

@@ -129,8 +129,7 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
         return true;
     };
     let Some(obj) = ident.object.upgrade() else {
-        ctx.machdep.remove_all(pa, ps);
-        scrub(ctx, page);
+        ctx.machdep.page_free(pa, ps);
         ctx.resident.free_page(page);
         return true;
     };
@@ -237,7 +236,9 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
         ctx.stats.reclaims.fetch_add(1, Ordering::Relaxed);
         ctx.trace_emit(0, obj.id(), ident.offset, TraceEvent::Reclaim);
     }
-    scrub(ctx, page);
+    // The mappings went above; `page_free` also drops leftover
+    // modify/reference bits, so the frame's next user starts clean.
+    ctx.machdep.page_free(pa, ps);
     ctx.resident.free_page(page);
     // Anyone who was waiting on the (briefly busy) page rechecks and
     // refaults through the object.
@@ -253,14 +254,6 @@ fn release_claim(ctx: &CoreRefs, obj: &VmObject, page: PageId) {
     ctx.resident.release_evict(page);
     let _s = obj.lock();
     obj.busy_wakeup.notify_all();
-}
-
-/// Clear leftover modify/reference attributes so the frame's next user
-/// starts clean.
-fn scrub(ctx: &CoreRefs, page: PageId) {
-    let pa = page.base(ctx.page_size);
-    ctx.machdep.clear_modify(pa, ctx.page_size);
-    ctx.machdep.clear_reference(pa, ctx.page_size);
 }
 
 /// A background paging daemon keeping the free pool above a threshold.

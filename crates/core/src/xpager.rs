@@ -456,9 +456,7 @@ fn handle_pager_message_once(
                     ctx.resident.clear_identity(p);
                     drop(s);
                     let pa = p.base(page);
-                    ctx.machdep.remove_all(pa, page);
-                    ctx.machdep.clear_modify(pa, page);
-                    ctx.machdep.clear_reference(pa, page);
+                    ctx.machdep.page_free(pa, page);
                     ctx.resident.free_page(p);
                     obj.busy_wakeup.notify_all();
                 } else {

@@ -789,6 +789,9 @@ impl Machine {
         }
     }
 
+    /// Translate `[va, va+len)` one hardware page at a time, handing each
+    /// piece `(pa, offset, len)` to `f` before translating the next, so an
+    /// access that faults part-way has already done its earlier pieces.
     fn access_span(
         &self,
         va: VAddr,
@@ -819,16 +822,11 @@ impl Machine {
     ///
     /// The first [`Fault`] encountered; earlier pages may have been read.
     pub fn load(&self, va: VAddr, buf: &mut [u8]) -> Result<(), Fault> {
-        let phys = &self.phys;
-        let mut out: Vec<(PAddr, usize, usize)> = Vec::new();
         self.access_span(va, buf.len(), Access::Read, |pa, off, take| {
-            out.push((pa, off, take));
-        })?;
-        for (pa, off, take) in out {
-            phys.read(pa, &mut buf[off..off + take])
+            self.phys
+                .read(pa, &mut buf[off..off + take])
                 .expect("translated address is resident");
-        }
-        Ok(())
+        })
     }
 
     /// Write `buf` to user memory at `va` on the bound CPU.
@@ -838,16 +836,11 @@ impl Machine {
     /// The first [`Fault`] encountered; earlier pages may have been
     /// written (stores are restartable at page granularity).
     pub fn store(&self, va: VAddr, buf: &[u8]) -> Result<(), Fault> {
-        let phys = &self.phys;
-        let mut segs: Vec<(PAddr, usize, usize)> = Vec::new();
         self.access_span(va, buf.len(), Access::Write, |pa, off, take| {
-            segs.push((pa, off, take));
-        })?;
-        for (pa, off, take) in segs {
-            phys.write(pa, &buf[off..off + take])
+            self.phys
+                .write(pa, &buf[off..off + take])
                 .expect("translated address is resident");
-        }
-        Ok(())
+        })
     }
 
     /// Load a `u32` at `va`.

@@ -274,8 +274,7 @@ impl<T: HwTables> PortChassis<T> {
             let mut v = start;
             while v < end {
                 if let Some((pfn, attrs)) = self.tables.clear(&mut g, v) {
-                    self.core.pv.remove(pfn, self.id, v);
-                    self.core.pv.merge_attrs(pfn, attrs);
+                    self.core.pv.remove(pfn, self.id, v, attrs);
                     self.shared.resident.fetch_sub(1, Ordering::Relaxed);
                     if let Some(tag) = self.tables.space_vpn(&g, v) {
                         flush.push(tag);
@@ -316,14 +315,13 @@ impl<T: HwTables> Pmap for PortChassis<T> {
                     }
                     SlotOld::Replaced { pfn, attrs } => {
                         // The slot stays resident; only the frame changes.
-                        self.core.pv.remove(pfn, self.id, v);
-                        self.core.pv.merge_attrs(pfn, attrs);
+                        self.core.pv.remove(pfn, self.id, v, attrs);
                         if let Some(tag) = self.tables.space_vpn(&g, v) {
                             flush.push(tag);
                         }
                     }
                 }
-                self.core.pv.add(frame, self.weak_self(), v);
+                self.core.pv.add(frame, self.weak_self(), self.id, v);
             }
             self.tables.finish_enter(&mut g)
         };
@@ -461,8 +459,7 @@ impl<T: HwTables> Drop for PortChassis<T> {
     fn drop(&mut self) {
         let mut g = self.tables.lock();
         for (va, pfn, attrs) in self.tables.teardown(&mut g) {
-            self.core.pv.remove(pfn, self.id, va);
-            self.core.pv.merge_attrs(pfn, attrs);
+            self.core.pv.remove(pfn, self.id, va, attrs);
         }
         self.shared.resident.store(0, Ordering::Relaxed);
     }
@@ -534,6 +531,10 @@ impl<F: PortFactory> MachDep for ChassisMachDep<F> {
     fn remove_all_deferred(&self, pa: PAddr, size: u64) -> Pending {
         let strategy = self.core.policy.read().pageout;
         self.core.remove_all_with(pa, size, strategy)
+    }
+
+    fn page_free(&self, pa: PAddr, size: u64) {
+        self.core.page_free(pa, size);
     }
 
     fn copy_on_write(&self, pa: PAddr, size: u64) {

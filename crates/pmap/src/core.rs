@@ -10,7 +10,7 @@ use mach_hw::tlb::FlushScope;
 use mach_hw::Pfn;
 use parking_lot::{Mutex, RwLock};
 
-use crate::pv::{PvTable, ATTR_MOD, ATTR_REF};
+use crate::pv::{attr_bits, PvEntry, PvTable, ATTR_MOD, ATTR_REF};
 use crate::{
     Counters, HookGuard, Pending, ShootdownObserver, ShootdownPolicy, ShootdownSpanHook,
     ShootdownStrategy,
@@ -64,7 +64,7 @@ impl MdCore {
     pub fn new(machine: &Arc<Machine>) -> MdCore {
         MdCore {
             machine: Arc::clone(machine),
-            pv: PvTable::new(),
+            pv: PvTable::new(machine.hw_page_size()),
             policy: RwLock::new(ShootdownPolicy::default()),
             counters: Counters::default(),
             deferred: Mutex::new(Vec::new()),
@@ -240,25 +240,54 @@ impl MdCore {
     pub fn remove_all_with(&self, pa: PAddr, size: u64, strategy: ShootdownStrategy) -> Pending {
         let mut pending = Pending::complete();
         for frame in self.frames(pa, size) {
-            let mut pages = Vec::new();
-            let mut cpus = 0u64;
-            for e in self.pv.take(frame) {
-                let Some(m) = e.mapper.upgrade() else {
-                    continue;
-                };
-                let (was_mod, was_ref) = m.clear_hw(e.va);
-                let bits = (was_mod as u8 * ATTR_MOD) | (was_ref as u8 * ATTR_REF);
-                self.pv.merge_attrs(frame, bits);
-                pages.push(m.space_vpn(e.va));
-                cpus |= m.cpus_cached();
-                self.counters.removes.fetch_add(1, Ordering::Relaxed);
-            }
+            let (bits, cpus, pages) = self.clear_mappings(self.pv.take(frame));
+            self.pv.merge_attrs(frame, bits);
             let p = self.flush_pages(cpus, &pages, strategy);
             for f in p.flags {
                 pending.push(f);
             }
         }
         pending
+    }
+
+    /// `pmap_remove_all` for frames being freed: every mapping goes, with
+    /// a time-critical flush, and the frame's stolen modify/reference
+    /// bits are forgotten. One pv visit per frame takes its whole record.
+    /// A second visit happens only when live mappings were cleared: a
+    /// pmap that had just cleared its own mapping of the frame may merge
+    /// those bits late, but it does so under its port lock, which
+    /// `clear_hw` waits for, so the second visit comes after it.
+    pub fn page_free(&self, pa: PAddr, size: u64) {
+        let strategy = self.policy.read().time_critical;
+        for frame in self.frames(pa, size) {
+            let entries = self.pv.release(frame);
+            if entries.is_empty() {
+                continue;
+            }
+            let (_, cpus, pages) = self.clear_mappings(entries);
+            self.pv.clear_attrs(frame, ATTR_MOD | ATTR_REF);
+            self.flush_pages(cpus, &pages, strategy);
+        }
+    }
+
+    /// Invalidate every mapping in `entries` (no TLB flush); returns the
+    /// harvested modify/reference bits, the CPUs that may cache the
+    /// mappings, and their `(space, vpn)` tags.
+    fn clear_mappings(&self, entries: Vec<PvEntry>) -> (u8, u64, Vec<(u32, u64)>) {
+        let mut bits = 0;
+        let mut cpus = 0u64;
+        let mut pages = Vec::new();
+        for e in entries {
+            let Some(m) = e.mapper.upgrade() else {
+                continue;
+            };
+            let (was_mod, was_ref) = m.clear_hw(e.va);
+            bits |= attr_bits(was_mod, was_ref);
+            pages.push(m.space_vpn(e.va));
+            cpus |= m.cpus_cached();
+            self.counters.removes.fetch_add(1, Ordering::Relaxed);
+        }
+        (bits, cpus, pages)
     }
 
     /// `pmap_copy_on_write` over the pv table: narrow every mapping of the

@@ -115,7 +115,8 @@ pub trait Pmap: Send + Sync + fmt::Debug {
 /// [`pv::PvEntry`] holds `Weak<dyn HwMapper>`).
 #[doc(hidden)]
 pub trait HwMapper: Send + Sync {
-    /// Stable identity for pv bookkeeping.
+    /// Stable identity for pv bookkeeping: the id each
+    /// [`pv::PvEntry`] of this pmap is recorded and matched under.
     fn mapper_id(&self) -> u64;
     /// Invalidate the hardware mapping at `va`; return its (modified,
     /// referenced) bits. Does not flush TLBs — the caller batches that.
@@ -310,6 +311,12 @@ pub trait MachDep: Send + Sync + fmt::Debug {
     /// Like [`MachDep::remove_all`] but flushes per the pageout strategy;
     /// the returned [`Pending`] completes after [`MachDep::update`].
     fn remove_all_deferred(&self, pa: PAddr, size: u64) -> Pending;
+
+    /// Retire `[pa, pa+size)` as it is freed: [`MachDep::remove_all`],
+    /// [`MachDep::clear_modify`] and [`MachDep::clear_reference`] in one,
+    /// so no mapping and no stolen modify/reference bit outlives the
+    /// page. Each frame's pv record is taken in one visit, not five.
+    fn page_free(&self, pa: PAddr, size: u64);
 
     /// `pmap_copy_on_write`: revoke write access to `[pa, pa+size)` in
     /// every pmap (virtual copy of shared pages).

@@ -305,16 +305,17 @@ impl HwTables for RompTables {
             let old_tag = w0 & 0x1FFF_FFFF;
             let flags = chain_unlink(phys, l, pfn.0 as u32, old_tag);
             self.core.pv.merge_attrs(pfn, flag_attrs(flags));
+            // Found by identity, not by upgrading the entry: the upgraded
+            // `Arc` could be the victim's last, and its destructor takes
+            // this world lock.
             for e in self.core.pv.take(pfn) {
-                if let Some(m) = e.mapper.upgrade() {
-                    if let Some(sw) = g.w.pmaps.get(&m.mapper_id()) {
-                        let _ = sw.shared.resident.fetch_update(
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                            |v| Some(v.saturating_sub(1)),
-                        );
-                    }
-                    g.evict.cpus |= m.cpus_cached();
+                if let Some(sw) = g.w.pmaps.get(&e.mapper_id) {
+                    let _ = sw.shared.resident.fetch_update(
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                        |v| Some(v.saturating_sub(1)),
+                    );
+                    g.evict.cpus |= sw.shared.cpus_cached.load(Ordering::SeqCst);
                 }
             }
             g.evict

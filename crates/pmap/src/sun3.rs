@@ -152,10 +152,10 @@ impl Sun3Tables {
             let pte = mmu.pmegs[pmeg as usize][idx];
             if pte.valid {
                 let va = va_of(seg, idx);
-                self.core.pv.remove(Pfn(pte.pfn as u64), owner_id, va);
+                let attrs = attr_bits(pte.modified, pte.referenced);
                 self.core
                     .pv
-                    .merge_attrs(Pfn(pte.pfn as u64), attr_bits(pte.modified, pte.referenced));
+                    .remove(Pfn(pte.pfn as u64), owner_id, va, attrs);
                 vpns.push(va.0 / PAGE);
             }
             mmu.pmegs[pmeg as usize][idx] = Sun3Pte::default();

@@ -244,6 +244,57 @@ proptest! {
         }
     }
 
+    /// `page_free` leaves nothing of a dying page behind on every port: no
+    /// mapping in any pmap, no modify/reference bit (live or stolen by an
+    /// earlier removal), and no TLB entry — a load through the old
+    /// address misses the TLB and faults.
+    #[test]
+    fn page_free_leaves_nothing_behind(
+        touch_read in any::<bool>(),
+        touch_write in any::<bool>(),
+        remove_first in any::<bool>(),
+    ) {
+        for model in [
+            MachineModel::micro_vax_ii(),
+            MachineModel::rt_pc(),
+            MachineModel::sun_3_160(),
+            MachineModel::multimax(1),
+            MachineModel::rp3(1),
+        ] {
+            let machine = Machine::boot(model);
+            let md = mach_pmap::machdep_for(&machine);
+            let page = machine.hw_page_size();
+            let pa = machine.frames().alloc().unwrap().base(page);
+            // Two pmaps map the frame; the RT PC keeps only the later one.
+            let pmaps = [md.create(), md.create()];
+            for pmap in &pmaps {
+                pmap.enter(VAddr(0), pa, page, HwProt::READ | HwProt::WRITE, false);
+            }
+            let _b = machine.bind_cpu(0);
+            pmaps[1].activate(0);
+            if touch_read {
+                machine.load_u32(VAddr(0)).unwrap();
+            }
+            if touch_write {
+                machine.store_u32(VAddr(0), 1).unwrap();
+            }
+            if remove_first {
+                pmaps[1].remove(VAddr(0), VAddr(page));
+            }
+            md.page_free(pa, page);
+            prop_assert_eq!(md.mapping_count(pa), 0, "a mapping survived");
+            prop_assert!(!md.is_modified(pa, page), "modify bit survived");
+            prop_assert!(!md.is_referenced(pa, page), "reference bit survived");
+            for pmap in &pmaps {
+                prop_assert_eq!(pmap.extract(VAddr(0)), None);
+                prop_assert_eq!(pmap.resident_pages(), 0);
+            }
+            let before = machine.cpu(0).tlb_stats();
+            prop_assert!(machine.load_u32(VAddr(0)).is_err(), "freed page still readable");
+            prop_assert_eq!(machine.cpu(0).tlb_stats().hits, before.hits, "a TLB entry survived");
+        }
+    }
+
     /// DESIGN §7: "the pmap is a cache". All non-wired hardware mappings
     /// may vanish at any moment (context steal, pmeg steal, table
     /// reclaim) and the machine-independent layer must rebuild them on
