@@ -31,7 +31,9 @@
 //! `--check BASELINE` (exit 1 if a 1-CPU workload's elapsed_us regressed
 //! more than 20%, any workload's scaling gain fell below half its
 //! baseline, or a trace-replay row's observables diverge — see
-//! [`check_regressions`]).
+//! [`check_regressions`]). An unknown port, workload or flag, a CPU
+//! count outside 1..=64, or a baseline that cannot be read and parsed
+//! exits 2 before any row runs.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -39,16 +41,18 @@ use std::sync::Arc;
 
 use mach_bench::json::{self, Json};
 use mach_bench::measure::{measured_parallel, SimTime};
+use mach_bench::replay::{port_model, Observables, PORTS};
 use mach_fs::{BlockDevice, SimFs};
-use mach_hw::machine::{Machine, MachineCounts, MachineModel};
+use mach_hw::machine::{Machine, MachineCounts};
 use mach_pmap::{ShootdownPolicy, ShootdownStrategy};
-use mach_vm::kernel::Kernel;
+use mach_vm::kernel::{BootOptions, Kernel};
 use mach_vm::types::Protection;
-use mach_vm::VmStats;
+use mach_vm::{Task, VmStats};
 
 const SCHEMA: &str = "mach-vm-bench-v5";
-const ALL_PORTS: [&str; 5] = ["vax", "romp", "sun3", "ns32082", "tlbsoft"];
 const ALL_CPUS: [usize; 4] = [1, 2, 4, 8];
+/// The pmap layer tracks CPUs in 64-bit masks.
+const MAX_CPUS: usize = 64;
 const WORKLOADS: [&str; 11] = [
     "zero_fill",
     "fork_cow",
@@ -83,17 +87,24 @@ const ABLATION_MIN_SPEEDUP_1M: u64 = 10;
 /// reach ~60 levels.
 const FLEET_MAX_SHADOW_DEPTH_P95: u64 = 6;
 
-fn model_for(port: &str, cpus: usize) -> MachineModel {
-    let mut model = match port {
-        "vax" => MachineModel::micro_vax_ii(),
-        "romp" => MachineModel::rt_pc(),
-        "sun3" => MachineModel::sun_3_160(),
-        "ns32082" => MachineModel::multimax(cpus),
-        "tlbsoft" => MachineModel::rp3(cpus),
-        _ => panic!("unknown port {port:?} (expected one of {ALL_PORTS:?})"),
-    };
-    model.n_cpus = cpus;
-    model
+/// One task per CPU, each with `pages` fresh pages allocated and, when
+/// `dirty`, written once from CPU 0 — the unmeasured set-up most
+/// workloads start from.
+fn regions(kernel: &Kernel, n: usize, pages: u64, dirty: bool) -> Vec<(Arc<Task>, u64)> {
+    let size = pages * kernel.page_size();
+    (0..n)
+        .map(|_| {
+            let task = kernel.create_task();
+            let addr = task
+                .map()
+                .allocate(kernel.ctx(), None, size, true)
+                .expect("allocate");
+            if dirty {
+                task.user(0, |u| u.dirty_range(addr, size).expect("dirty"));
+            }
+            (task, addr)
+        })
+        .collect()
 }
 
 /// Per-workload setup; returns the measured body, which drives every
@@ -111,22 +122,13 @@ fn setup(
         // Every CPU dirties its own 64 fresh pages: racing zero-fill
         // fault streams against the sharded resident table.
         "zero_fill" => {
-            let size = 64 * ps;
-            let regions: Vec<_> = (0..n)
-                .map(|_| {
-                    let task = kernel.create_task();
-                    let addr = task
-                        .map()
-                        .allocate(kernel.ctx(), None, size, true)
-                        .expect("allocate");
-                    (task, addr)
-                })
-                .collect();
+            let pages = 64u64;
+            let regions = regions(kernel, n, pages, false);
             let machine = Arc::clone(machine);
             Box::new(move || {
                 measured_parallel(&machine, n, |cpu| {
                     let (task, addr) = &regions[cpu];
-                    task.user(cpu, |u| u.dirty_range(*addr, size).unwrap());
+                    task.user(cpu, |u| u.dirty_range(*addr, pages * ps).unwrap());
                 })
                 .0
             })
@@ -135,17 +137,7 @@ fn setup(
         // page in the child: concurrent COW pushes.
         "fork_cow" => {
             let pages = 32u64;
-            let parents: Vec<_> = (0..n)
-                .map(|_| {
-                    let task = kernel.create_task();
-                    let addr = task
-                        .map()
-                        .allocate(kernel.ctx(), None, pages * ps, true)
-                        .expect("allocate");
-                    task.user(0, |u| u.dirty_range(addr, pages * ps).unwrap());
-                    (task, addr)
-                })
-                .collect();
+            let parents = regions(kernel, n, pages, true);
             let machine = Arc::clone(machine);
             Box::new(move || {
                 measured_parallel(&machine, n, |cpu| {
@@ -211,13 +203,8 @@ fn setup(
             kernel
                 .machdep()
                 .set_shootdown_policy(ShootdownPolicy::uniform(strategy));
-            let task = kernel.create_task();
             let pages = 8u64;
-            let addr = task
-                .map()
-                .allocate(kernel.ctx(), None, pages * ps, true)
-                .expect("allocate");
-            task.user(0, |u| u.dirty_range(addr, pages * ps).unwrap());
+            let (task, addr) = regions(kernel, 1, pages, true).pop().expect("one region");
             let kernel = Arc::clone(kernel);
             let machine = Arc::clone(machine);
             Box::new(move || {
@@ -273,23 +260,22 @@ fn setup(
         // Every CPU reclaims against its own dirtied region, then faults
         // half of it back in: concurrent reclaimers exercise the
         // work-stealing sweep and the default-pager write path.
-        "pageout_reclaim" => {
+        // `pager_fleet` runs the same body on a kernel whose default pager
+        // is N external pager services over real `mach-ipc` port queues
+        // (`BootOptions::pager_fleet`, see [`run_one`]), so pageouts and
+        // pageins are acknowledged RPCs against whichever service each
+        // object is bound to. After its body, a quiet-point burst probe
+        // pauses each service and oversubscribes its queue, which makes
+        // the backpressure gauges exact: depth saturates at the queue
+        // capacity and every overflow counts a throttle (gate 6 holds the
+        // per-pager gauges to the bound).
+        "pageout_reclaim" | "pager_fleet" => {
             let pages = 96u64;
-            let regions: Vec<_> = (0..n)
-                .map(|_| {
-                    let task = kernel.create_task();
-                    let addr = task
-                        .map()
-                        .allocate(kernel.ctx(), None, pages * ps, true)
-                        .expect("allocate");
-                    task.user(0, |u| u.dirty_range(addr, pages * ps).unwrap());
-                    (task, addr)
-                })
-                .collect();
+            let regions = regions(kernel, n, pages, true);
             let kernel = Arc::clone(kernel);
             let machine = Arc::clone(machine);
             Box::new(move || {
-                measured_parallel(&machine, n, |cpu| {
+                let time = measured_parallel(&machine, n, |cpu| {
                     // Two passes: the first ages reference bits, the
                     // second evicts (writing dirty pages to the default
                     // pager).
@@ -302,56 +288,19 @@ fn setup(
                         }
                     });
                 })
-                .0
-            })
-        }
-        // The pager-service-fleet workload: the same paging pressure as
-        // `pageout_reclaim`, but the kernel is booted with its default
-        // pager running as N external pager services over real
-        // `mach-ipc` port queues (`BootOptions::pager_fleet`). Pageouts
-        // and pageins are genuine acknowledged RPCs against whichever
-        // service each object is bound to. After the measured body, a
-        // quiet-point burst probe pauses each service and oversubscribes
-        // its queue, which makes the backpressure gauges exact: depth
-        // saturates at the queue capacity and every overflow counts a
-        // throttle (gate 6 holds the per-pager gauges to the bound).
-        "pager_fleet" => {
-            let pages = 96u64;
-            let regions: Vec<_> = (0..n)
-                .map(|_| {
-                    let task = kernel.create_task();
-                    let addr = task
-                        .map()
-                        .allocate(kernel.ctx(), None, pages * ps, true)
-                        .expect("allocate");
-                    task.user(0, |u| u.dirty_range(addr, pages * ps).unwrap());
-                    (task, addr)
-                })
-                .collect();
-            let kernel = Arc::clone(kernel);
-            let machine = Arc::clone(machine);
-            Box::new(move || {
-                let time = measured_parallel(&machine, n, |cpu| {
-                    kernel.reclaim(pages as usize / 2);
-                    kernel.reclaim(pages as usize / 2);
-                    let (task, addr) = &regions[cpu];
-                    task.user(cpu, |u| {
-                        for p in (0..pages).step_by(2) {
-                            u.read_u32(addr + p * ps).unwrap();
-                        }
-                    });
-                })
                 .0;
-                // Tear the tasks down *before* reading gauges: each drop
-                // sends an async `pager_terminate`, and an in-flight one
-                // would race the queue-depth snapshot (depth 0 vs 1).
+                // Tear the tasks down *before* a fleet's gauges are read:
+                // each drop sends an async `pager_terminate`, and an
+                // in-flight one would race the queue-depth snapshot
+                // (depth 0 vs 1).
                 drop(regions);
-                let fleet = kernel.fleet().expect("pager_fleet boots with a fleet");
-                let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-                while (0..fleet.pagers()).any(|i| fleet.depth(i) > 0)
-                    && std::time::Instant::now() < deadline
-                {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
+                if let Some(fleet) = kernel.fleet() {
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                    while (0..fleet.pagers()).any(|i| fleet.depth(i) > 0)
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
                 }
                 time
             })
@@ -379,14 +328,9 @@ fn setup(
             let file = fs.create("fleet_shared").unwrap();
             fs.write_at(file, 0, &vec![0x5au8; file_size as usize])
                 .unwrap();
-            let tenants: Vec<_> = (0..n)
-                .map(|_| {
-                    let task = kernel.create_task();
-                    let anon = task
-                        .map()
-                        .allocate(kernel.ctx(), None, anon_pages * ps, true)
-                        .expect("allocate");
-                    task.user(0, |u| u.dirty_range(anon, anon_pages * ps).unwrap());
+            let tenants: Vec<_> = regions(kernel, n, anon_pages, true)
+                .into_iter()
+                .map(|(task, anon)| {
                     task.map()
                         .inherit(
                             kernel.ctx(),
@@ -458,7 +402,7 @@ fn setup(
                 .0
             })
         }
-        _ => panic!("unknown workload {workload:?}"),
+        _ => unreachable!("parse_args admits only WORKLOADS"),
     }
 }
 
@@ -481,7 +425,7 @@ const ABLATION_LOOKUPS: u64 = 64;
 fn map_index_ablation() -> Vec<Json> {
     let mut rows = Vec::new();
     for &entries in &ABLATION_SIZES {
-        let machine = Machine::boot(model_for("vax", 1));
+        let machine = Machine::boot(port_model("vax", 1));
         let kernel = Kernel::boot(&machine);
         let ps = kernel.page_size();
         // A raw task map over a space wide enough for 10^6 two-page
@@ -608,14 +552,12 @@ fn run_one(workload: &str, port: &str, cpus: usize) -> Json {
     if let Some(trace) = workload.strip_prefix("trace_replay_") {
         return replay_run(trace, workload, port, cpus);
     }
-    let machine = Machine::boot(model_for(port, cpus));
-    let kernel = if workload == "pager_fleet" {
-        let mut opts = mach_vm::kernel::BootOptions::for_machine(&machine);
+    let machine = Machine::boot(port_model(port, cpus));
+    let mut opts = BootOptions::for_machine(&machine);
+    if workload == "pager_fleet" {
         opts.pager_fleet = Some(mach_vm::FleetOptions::default());
-        Kernel::boot_with(&machine, opts)
-    } else {
-        Kernel::boot(&machine)
-    };
+    }
+    let kernel = Kernel::boot_with(&machine, opts);
     let body = setup(workload, &machine, &kernel);
 
     kernel.enable_tracing(65_536);
@@ -634,8 +576,7 @@ fn run_one(workload: &str, port: &str, cpus: usize) -> Json {
     // per-pager rows — gate 8 holds it to the throttle counter. Runs
     // before the stats delta is read so the probe's throttles are in the
     // row it gates.
-    let probes: Vec<mach_vm::BurstProbe> = if workload == "pager_fleet" {
-        let fleet = kernel.fleet().expect("pager_fleet boots with a fleet");
+    let probes: Vec<mach_vm::BurstProbe> = kernel.fleet().map_or_else(Vec::new, |fleet| {
         (0..fleet.pagers())
             .map(|i| {
                 let cap = fleet.queue_capacity(i);
@@ -645,9 +586,7 @@ fn run_one(workload: &str, port: &str, cpus: usize) -> Json {
                 probe
             })
             .collect()
-    } else {
-        Vec::new()
-    };
+    });
     let stats = kernel.statistics().delta(&base);
     let md = kernel.machdep().stats();
     let tlb1 = tlb_flushed(&machine);
@@ -836,19 +775,31 @@ fn run_one(workload: &str, port: &str, cpus: usize) -> Json {
     Json::obj(fields)
 }
 
+/// A row's (workload, port, cpus) identity: the key every row lookup and
+/// every gate failure uses.
+fn key(row: &Json) -> (&str, &str, u64) {
+    let name = |k| row.get(k).and_then(Json::as_str).unwrap_or("");
+    (
+        name("workload"),
+        name("port"),
+        field(row, &["cpus"]).unwrap_or(0),
+    )
+}
+
+/// The integer at `path` inside `row`, if there is one.
+fn field(row: &Json, path: &[&str]) -> Option<u64> {
+    path.iter().try_fold(row, |j, k| j.get(k))?.as_u64()
+}
+
+/// The array member `name` of `doc` (empty when absent).
+fn list<'a>(doc: &'a Json, name: &str) -> &'a [Json] {
+    doc.get(name).and_then(Json::as_arr).unwrap_or_default()
+}
+
 /// Aggregate fault throughput (faults per simulated second) of one run.
 fn throughput(run: &Json) -> u64 {
-    let faults = run
-        .get("stats")
-        .and_then(|s| s.get("faults"))
-        .and_then(Json::as_u64)
-        .unwrap_or(0);
-    let elapsed = run
-        .get("elapsed_us")
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
-        .max(1);
-    faults.saturating_mul(1_000_000) / elapsed
+    let faults = field(run, &["stats", "faults"]).unwrap_or(0);
+    faults.saturating_mul(1_000_000) / field(run, &["elapsed_us"]).unwrap_or(0).max(1)
 }
 
 /// Per-(workload, port, cpus>1) scaling rows: aggregate fault throughput
@@ -856,32 +807,22 @@ fn throughput(run: &Json) -> u64 {
 /// ÷ throughput at 1 CPU); weak-scaling workloads should grow toward
 /// 1000 × N.
 fn scaling_rows(runs: &[Json]) -> Vec<Json> {
-    let field = |r: &Json, k: &str| r.get(k).and_then(Json::as_str).unwrap_or("").to_string();
-    let cpus_of = |r: &Json| r.get("cpus").and_then(Json::as_u64).unwrap_or(0);
     let mut out = Vec::new();
     for run in runs {
-        let cpus = cpus_of(run);
-        if cpus <= 1 {
+        let (w, p, cpus) = key(run);
+        // The lockstep replay engine serializes ops by design — replay
+        // rows are conformance artifacts, not scaling workloads.
+        if cpus <= 1 || w.starts_with("trace_replay_") {
             continue;
         }
-        let (w, p) = (field(run, "workload"), field(run, "port"));
-        if w.starts_with("trace_replay_") {
-            // The lockstep replay engine serializes ops by design —
-            // replay rows are conformance artifacts, not scaling
-            // workloads.
-            continue;
-        }
-        let Some(base) = runs
-            .iter()
-            .find(|r| cpus_of(r) == 1 && field(r, "workload") == w && field(r, "port") == p)
-        else {
+        let Some(base) = runs.iter().find(|r| key(r) == (w, p, 1)) else {
             continue;
         };
         let thr_base = throughput(base);
         let thr = throughput(run);
         out.push(Json::obj(vec![
-            ("workload", Json::Str(w)),
-            ("port", Json::Str(p)),
+            ("workload", Json::Str(w.to_string())),
+            ("port", Json::Str(p.to_string())),
             ("cpus", Json::UInt(cpus)),
             ("base_faults_per_sec", Json::UInt(thr_base)),
             ("faults_per_sec", Json::UInt(thr)),
@@ -894,6 +835,7 @@ fn scaling_rows(runs: &[Json]) -> Vec<Json> {
     out
 }
 
+#[derive(Debug)]
 struct Cli {
     ports: Vec<String>,
     cpus: Vec<usize>,
@@ -902,45 +844,66 @@ struct Cli {
     check: Option<String>,
 }
 
-fn parse_args() -> Cli {
+/// Parse the arguments after the program name. Every port, workload and
+/// CPU count is checked here, so bad input fails before any row runs.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
     let mut cli = Cli {
-        ports: ALL_PORTS.iter().map(|s| s.to_string()).collect(),
+        ports: PORTS.iter().map(|s| s.to_string()).collect(),
         cpus: ALL_CPUS.to_vec(),
         workloads: WORKLOADS.iter().map(|s| s.to_string()).collect(),
         out: "BENCH_vm.json".to_string(),
         check: None,
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let mut val = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
-        match a.as_str() {
-            "--ports" => {
-                cli.ports = val("--ports")
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
-            "--workloads" => {
-                cli.workloads = val("--workloads")
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .collect();
-            }
+    const FLAGS: [&str; 5] = ["--ports", "--cpus", "--workloads", "--out", "--check"];
+    while let Some(flag) = args.next() {
+        if !FLAGS.contains(&flag.as_str()) {
+            return Err(format!(
+                "unknown flag {flag:?} (valid: {})",
+                FLAGS.join(", ")
+            ));
+        }
+        let val = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        let items = val.split(',').map(|s| s.trim().to_string());
+        match flag.as_str() {
+            "--ports" => cli.ports = known(items, &PORTS, "port")?,
+            "--workloads" => cli.workloads = known(items, &WORKLOADS, "workload")?,
             "--cpus" => {
-                cli.cpus = val("--cpus")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--cpus takes integers"))
-                    .collect();
+                cli.cpus = items
+                    .map(|c| {
+                        c.parse()
+                            .ok()
+                            .filter(|n| (1..=MAX_CPUS).contains(n))
+                            .ok_or_else(|| {
+                                format!("--cpus takes integers 1..={MAX_CPUS}, not {c:?}")
+                            })
+                    })
+                    .collect::<Result<_, _>>()?;
             }
-            "--out" => cli.out = val("--out"),
-            "--check" => cli.check = Some(val("--check")),
-            other => panic!("unknown flag {other:?}"),
+            "--out" => cli.out = val,
+            _ => cli.check = Some(val),
         }
     }
-    cli
+    Ok(cli)
+}
+
+/// `items`, or an error naming the first that is not in `valid`.
+fn known(
+    items: impl Iterator<Item = String>,
+    valid: &[&str],
+    what: &str,
+) -> Result<Vec<String>, String> {
+    items
+        .map(|item| {
+            if valid.contains(&item.as_str()) {
+                Ok(item)
+            } else {
+                Err(format!(
+                    "unknown {what} {item:?} (valid: {})",
+                    valid.join(", ")
+                ))
+            }
+        })
+        .collect()
 }
 
 /// Format one `--check` gate failure. Every gate goes through this so
@@ -992,360 +955,199 @@ fn gate_failure(workload: &str, port: &str, cpus: u64, msg: &str) -> String {
 ///    means some CPU waited in the kernel without parking, a protocol
 ///    bug that costs host time the simulated clock never shows.
 fn check_regressions(current: &Json, baseline: &Json) -> Vec<String> {
-    let key = |r: &Json| {
-        (
-            r.get("workload")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            r.get("port")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            r.get("cpus").and_then(Json::as_u64).unwrap_or(0),
-        )
-    };
-    let empty: [Json; 0] = [];
-    let base_runs = baseline
-        .get("runs")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
     let mut out = Vec::new();
-    for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
-        let k = key(run);
-        if k.2 != 1 {
-            continue; // multi-CPU rows: gated on scaling, not elapsed
-        }
-        let Some(base) = base_runs.iter().find(|b| key(b) == k) else {
-            continue; // not in the baseline matrix: nothing to gate on
-        };
-        let cur_us = run.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
-        let base_us = base.get("elapsed_us").and_then(Json::as_u64).unwrap_or(0);
-        let limit = (base_us as f64 * (1.0 + REGRESSION_FRAC)).ceil() as u64;
-        if cur_us > limit {
-            out.push(gate_failure(
-                &k.0,
-                &k.1,
-                k.2,
-                &format!(
-                    "elapsed {} us > {} us (baseline {} us +{:.0}%)",
-                    cur_us,
-                    limit,
-                    base_us,
-                    REGRESSION_FRAC * 100.0
-                ),
-            ));
-        }
-    }
-    let base_scaling = baseline
-        .get("scaling")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
-    for row in current
-        .get("scaling")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty)
-    {
-        let k = key(row);
-        let Some(base) = base_scaling.iter().find(|b| key(b) == k) else {
-            continue;
-        };
-        let cur = row.get("gain_permille").and_then(Json::as_u64).unwrap_or(0);
-        let base_gain = base
-            .get("gain_permille")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let floor = (base_gain as f64 * SCALING_FLOOR_FRAC).floor() as u64;
-        if cur < floor {
-            out.push(gate_failure(
-                &k.0,
-                &k.1,
-                k.2,
-                &format!(
-                    "scaling gain {}‰ < floor {}‰ (baseline {}‰ × {:.0}%)",
-                    cur,
-                    floor,
-                    base_gain,
-                    SCALING_FLOOR_FRAC * 100.0
-                ),
-            ));
-        }
-    }
-    // Gate 3: indexed vs linear lookup pricing on the *fresh* rows.
-    let ablation = current
-        .get("map_index_ablation")
-        .and_then(Json::as_arr)
-        .unwrap_or(&empty);
+    // Gate 3: indexed vs linear lookup pricing on the fresh rows.
     let cell = |entries: u64, mode: &str| {
-        ablation
+        list(current, "map_index_ablation")
             .iter()
             .find(|r| {
-                r.get("entries").and_then(Json::as_u64) == Some(entries)
+                field(r, &["entries"]) == Some(entries)
                     && r.get("mode").and_then(Json::as_str) == Some(mode)
             })
-            .and_then(|r| r.get("cycles_per_lookup"))
-            .and_then(Json::as_u64)
+            .and_then(|r| field(r, &["cycles_per_lookup"]))
     };
-    if !ablation.is_empty() {
-        if let (Some(idx), Some(lin)) = (cell(1_000_000, "indexed"), cell(1_000_000, "linear")) {
-            if idx.saturating_mul(ABLATION_MIN_SPEEDUP_1M) > lin {
-                out.push(format!(
-                    "map_index_ablation at 10^6 entries: indexed {idx} cycles/lookup is not \
-                     {ABLATION_MIN_SPEEDUP_1M}x better than linear {lin}"
-                ));
-            }
-        }
-        if let (Some(idx), Some(lin)) = (cell(100, "indexed"), cell(100, "linear")) {
-            if idx > lin {
-                out.push(format!(
-                    "map_index_ablation at 10^2 entries: indexed {idx} cycles/lookup regressed \
-                     vs linear {lin}"
-                ));
-            }
-        }
-    }
-    // Gate 4: fork-storm shadow chains must stay bounded.
-    for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
-        if run.get("workload").and_then(Json::as_str) != Some("server_fleet") {
-            continue;
-        }
-        let depth = run
-            .get("health")
-            .and_then(|h| h.get("shadow_depth_p95"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if depth > FLEET_MAX_SHADOW_DEPTH_P95 {
-            let k = key(run);
-            out.push(gate_failure(
-                &k.0,
-                &k.1,
-                k.2,
-                &format!(
-                    "shadow_depth_p95 {depth} > {FLEET_MAX_SHADOW_DEPTH_P95} \
-                     (chain compaction not keeping up)"
-                ),
+    if let (Some(idx), Some(lin)) = (cell(1_000_000, "indexed"), cell(1_000_000, "linear")) {
+        if idx.saturating_mul(ABLATION_MIN_SPEEDUP_1M) > lin {
+            out.push(format!(
+                "map_index_ablation at 10^6 entries: indexed {idx} cycles/lookup is not \
+                 {ABLATION_MIN_SPEEDUP_1M}x better than linear {lin}"
             ));
         }
     }
-    // Gate 5: trace-replay conformance across the fresh rows.
-    let gated_of = |r: &Json| -> Vec<(String, u64)> {
-        let names = [
-            "logical_faults",
-            "zero_fill",
-            "cow",
-            "pageins",
-            "pageouts",
-            "reclaims",
-            "checksum",
-        ];
-        names
-            .iter()
-            .map(|&f| {
-                (
-                    f.to_string(),
-                    r.get("observables")
-                        .and_then(|o| o.get(f))
-                        .and_then(Json::as_u64)
-                        .unwrap_or(u64::MAX),
-                )
-            })
-            .collect()
-    };
-    // Gate 6: fleet gauges must respect the bounded queues.
-    for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
-        let Some(pagers) = run.get("pager_fleet").and_then(Json::as_arr) else {
-            continue;
-        };
-        let k = key(run);
-        for p in pagers {
-            let g = |f: &str| p.get(f).and_then(Json::as_u64).unwrap_or(u64::MAX);
+    if let (Some(idx), Some(lin)) = (cell(100, "indexed"), cell(100, "linear")) {
+        if idx > lin {
+            out.push(format!(
+                "map_index_ablation at 10^2 entries: indexed {idx} cycles/lookup regressed \
+                 vs linear {lin}"
+            ));
+        }
+    }
+    // The first row of each replayed trace, which the trace's later rows
+    // must match (gate 5).
+    let mut first_replays: Vec<(&str, &Json)> = Vec::new();
+    for run in list(current, "runs") {
+        let (workload, port, cpus) = key(run);
+        let mut fail = |msg: String| out.push(gate_failure(workload, port, cpus, &msg));
+        let baseline_of = |section| list(baseline, section).iter().find(|b| key(b) == key(run));
+        // Gate 1: multi-CPU rows race real threads, so only 1-CPU rows
+        // answer for elapsed time; the rest are gated on scaling.
+        if let (1, Some(base)) = (cpus, baseline_of("runs")) {
+            let cur_us = field(run, &["elapsed_us"]).unwrap_or(0);
+            let base_us = field(base, &["elapsed_us"]).unwrap_or(0);
+            let limit = (base_us as f64 * (1.0 + REGRESSION_FRAC)).ceil() as u64;
+            if cur_us > limit {
+                fail(format!(
+                    "elapsed {cur_us} us > {limit} us (baseline {base_us} us +{:.0}%)",
+                    REGRESSION_FRAC * 100.0
+                ));
+            }
+        }
+        // Gate 2: this row's scaling gain against the baseline's.
+        let gain = |r: &Json| field(r, &["gain_permille"]).unwrap_or(0);
+        let scaling = list(current, "scaling").iter().find(|s| key(s) == key(run));
+        if let (Some(cur), Some(base)) = (scaling, baseline_of("scaling")) {
+            let (cur, base_gain) = (gain(cur), gain(base));
+            let floor = (base_gain as f64 * SCALING_FLOOR_FRAC).floor() as u64;
+            if cur < floor {
+                fail(format!(
+                    "scaling gain {cur}‰ < floor {floor}‰ (baseline {base_gain}‰ × {:.0}%)",
+                    SCALING_FLOOR_FRAC * 100.0
+                ));
+            }
+        }
+        // Gate 4: fork-storm shadow chains stay bounded.
+        let depth = field(run, &["health", "shadow_depth_p95"]).unwrap_or(0);
+        if workload == "server_fleet" && depth > FLEET_MAX_SHADOW_DEPTH_P95 {
+            fail(format!(
+                "shadow_depth_p95 {depth} > {FLEET_MAX_SHADOW_DEPTH_P95} \
+                 (chain compaction not keeping up)"
+            ));
+        }
+        // Gate 5: replay rows agree with the trace's first row, and that
+        // row with the trace's pinned expectation.
+        if let Some(trace) = workload.strip_prefix("trace_replay_") {
+            let observed = |r: &Json| {
+                Observables::GATED
+                    .map(|name| (name, field(r, &["observables", name]).unwrap_or(u64::MAX)))
+            };
+            match first_replays.iter().find(|(t, _)| *t == trace) {
+                Some(&(_, first)) => {
+                    let (_, first_port, first_cpus) = key(first);
+                    for ((name, got), (_, want)) in observed(run).into_iter().zip(observed(first)) {
+                        if got != want {
+                            fail(format!(
+                                "{name} {got} diverges from {first_port}/{first_cpus} cpus \
+                                 ({want}) — machine-independent observable differs across ports"
+                            ));
+                        }
+                    }
+                }
+                None => {
+                    let pinned = mach_bench::scenario::load_golden(trace)
+                        .expect
+                        .map(|e| Observables::pinned(&e));
+                    for ((name, got), (_, want)) in
+                        observed(run).into_iter().zip(pinned.into_iter().flatten())
+                    {
+                        if got != want {
+                            fail(format!("{name} {got} != pinned expectation {want}"));
+                        }
+                    }
+                    first_replays.push((trace, run));
+                }
+            }
+        }
+        // Gates 6 and 8: each pager's gauges respect its queue bound, and
+        // the burst probe prices overflow iff it observed overflow.
+        let mut probe_throttles = 0u64;
+        for p in list(run, "pager_fleet") {
+            let g = |f: &str| field(p, &[f]).unwrap_or(u64::MAX);
             let (idx, cap) = (g("pager"), g("queue_capacity"));
             if g("queue_depth") > cap || g("queue_depth_hwm") > cap {
-                out.push(gate_failure(
-                    &k.0,
-                    &k.1,
-                    k.2,
-                    &format!(
-                        "pager {idx} queue depth {}/hwm {} exceeds capacity {cap}",
-                        g("queue_depth"),
-                        g("queue_depth_hwm")
-                    ),
+                fail(format!(
+                    "pager {idx} queue depth {}/hwm {} exceeds capacity {cap}",
+                    g("queue_depth"),
+                    g("queue_depth_hwm")
                 ));
             }
             if g("live") != 1 {
-                out.push(gate_failure(
-                    &k.0,
-                    &k.1,
-                    k.2,
-                    &format!("pager {idx} died under a chaos-free bench workload"),
+                fail(format!(
+                    "pager {idx} died under a chaos-free bench workload"
                 ));
             }
+            let probe = (
+                field(p, &["probe_throttles"]),
+                field(p, &["probe_queue_wait_us"]),
+            );
+            if let (Some(t), Some(qw)) = probe {
+                probe_throttles += t;
+                if (qw > 0) != (t > 0) {
+                    fail(format!(
+                        "pager {idx} probe queue_wait {qw} us with {t} throttles — \
+                         overflow must be priced exactly when it happens"
+                    ));
+                }
+            }
         }
-    }
-    // Gate 7: the causal queue_wait sum nests inside the pager_wait span.
-    for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
-        let Some(causal) = run.get("causal") else {
-            continue;
-        };
-        let qw = causal
-            .get("queue_wait_cycles")
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if qw == 0 {
-            continue;
+        if probe_throttles > 0 && field(run, &["stats", "pager_throttles"]).unwrap_or(0) == 0 {
+            fail(format!(
+                "burst probe counted {probe_throttles} throttles but the row's \
+                 pager_throttles stat is 0"
+            ));
         }
-        // The span nests wherever the fault path entered it (e.g.
-        // `fault/shadow_walk/pager_wait`), so sum every pager_wait leaf.
-        let pager_wait: u64 = run
-            .get("profile")
-            .and_then(Json::as_arr)
-            .unwrap_or(&empty)
+        // Gate 7: the causal queue_wait sum nests inside the pager_wait
+        // span, which nests wherever the fault path entered it (e.g.
+        // `fault/shadow_walk/pager_wait`), so every pager_wait leaf counts.
+        let qw = field(run, &["causal", "queue_wait_cycles"]).unwrap_or(0);
+        let pager_wait: u64 = list(run, "profile")
             .iter()
             .filter(|r| {
                 r.get("path")
                     .and_then(Json::as_str)
                     .is_some_and(|p| p == "pager_wait" || p.ends_with("/pager_wait"))
             })
-            .filter_map(|r| r.get("total_cycles").and_then(Json::as_u64))
+            .filter_map(|r| field(r, &["total_cycles"]))
             .sum();
         if qw > pager_wait {
-            let k = key(run);
-            out.push(gate_failure(
-                &k.0,
-                &k.1,
-                k.2,
-                &format!(
-                    "causal queue_wait {qw} cycles exceeds the pager_wait span total \
-                     {pager_wait} — the decomposition does not nest in the span it explains"
-                ),
+            fail(format!(
+                "causal queue_wait {qw} cycles exceeds the pager_wait span total \
+                 {pager_wait} — the decomposition does not nest in the span it explains"
             ));
         }
-    }
-    // Gate 8: the burst probe prices overflow iff it observed overflow.
-    for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
-        if run.get("workload").and_then(Json::as_str) != Some("pager_fleet") {
-            continue;
-        }
-        let k = key(run);
-        let throttle_stat = run
-            .get("stats")
-            .and_then(|s| s.get("pager_throttles"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let mut probe_throttles = 0u64;
-        for p in run
-            .get("pager_fleet")
-            .and_then(Json::as_arr)
-            .unwrap_or(&empty)
-        {
-            let (Some(t), Some(qw)) = (
-                p.get("probe_throttles").and_then(Json::as_u64),
-                p.get("probe_queue_wait_us").and_then(Json::as_u64),
-            ) else {
-                continue;
-            };
-            probe_throttles += t;
-            let idx = p.get("pager").and_then(Json::as_u64).unwrap_or(u64::MAX);
-            if (qw > 0) != (t > 0) {
-                out.push(gate_failure(
-                    &k.0,
-                    &k.1,
-                    k.2,
-                    &format!(
-                        "pager {idx} probe queue_wait {qw} us with {t} throttles — \
-                         overflow must be priced exactly when it happens"
-                    ),
-                ));
-            }
-        }
-        if probe_throttles > 0 && throttle_stat == 0 {
-            out.push(gate_failure(
-                &k.0,
-                &k.1,
-                k.2,
-                &format!(
-                    "burst probe counted {probe_throttles} throttles but the row's \
-                     pager_throttles stat is 0"
-                ),
-            ));
-        }
-    }
-    // Gate 9: no shootdown ever fell back to a forced flush.
-    for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
-        let timeouts = run
-            .get("machine")
-            .and_then(|m| m.get("shootdown_timeouts"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
+        // Gate 9: no shootdown ever fell back to a forced flush.
+        let timeouts = field(run, &["machine", "shootdown_timeouts"]).unwrap_or(0);
         if timeouts > 0 {
-            let k = key(run);
-            out.push(gate_failure(
-                &k.0,
-                &k.1,
-                k.2,
-                &format!(
-                    "{timeouts} shootdown timeouts — a CPU waited in the kernel without \
-                     being quiescent"
-                ),
+            fail(format!(
+                "{timeouts} shootdown timeouts — a CPU waited in the kernel without \
+                 being quiescent"
             ));
-        }
-    }
-    let mut reference: Vec<(String, Vec<(String, u64)>, (String, String, u64))> = Vec::new();
-    for run in current.get("runs").and_then(Json::as_arr).unwrap_or(&empty) {
-        let k = key(run);
-        let Some(trace) = k.0.strip_prefix("trace_replay_").map(str::to_string) else {
-            continue;
-        };
-        let obs = gated_of(run);
-        match reference.iter().find(|(t, _, _)| *t == trace) {
-            None => {
-                let s = mach_bench::scenario::load_golden(&trace);
-                if let Some(e) = s.expect {
-                    let want = [
-                        ("logical_faults", e.logical_faults),
-                        ("zero_fill", e.zero_fill),
-                        ("cow", e.cow),
-                        ("pageins", e.pageins),
-                        ("pageouts", e.pageouts),
-                        ("reclaims", e.reclaims),
-                        ("checksum", e.checksum),
-                    ];
-                    for ((name, got), (_, pinned)) in obs.iter().zip(want.iter()) {
-                        if got != pinned {
-                            out.push(gate_failure(
-                                &k.0,
-                                &k.1,
-                                k.2,
-                                &format!("{name} {got} != pinned expectation {pinned}"),
-                            ));
-                        }
-                    }
-                }
-                reference.push((trace, obs, k));
-            }
-            Some((_, want, first_k)) => {
-                for ((name, got), (_, expect)) in obs.iter().zip(want.iter()) {
-                    if got != expect {
-                        out.push(gate_failure(
-                            &k.0,
-                            &k.1,
-                            k.2,
-                            &format!(
-                                "{name} {got} diverges from {}/{} cpus ({expect}) — \
-                                 machine-independent observable differs across ports",
-                                first_k.1, first_k.2
-                            ),
-                        ));
-                    }
-                }
-            }
         }
     }
     out
 }
 
 fn main() -> ExitCode {
-    let cli = parse_args();
+    let cli = match parse_args(std::env::args().skip(1)) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("bench_json: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    // Read the baseline before any row runs, so a bad one fails fast.
+    let baseline = match &cli.check {
+        Some(path) => match std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::parse(&text))
+        {
+            Ok(doc) => Some((path, doc)),
+            Err(e) => {
+                eprintln!("bench_json: baseline {path}: {e}");
+                return ExitCode::from(2);
+            }
+        },
+        None => None,
+    };
     let mut runs = Vec::new();
     for workload in &cli.workloads {
         for port in &cli.ports {
@@ -1377,9 +1179,7 @@ fn main() -> ExitCode {
     std::fs::write(&cli.out, doc.to_pretty()).expect("write output");
     eprintln!("wrote {}", cli.out);
 
-    if let Some(baseline_path) = cli.check {
-        let text = std::fs::read_to_string(&baseline_path).expect("read baseline");
-        let baseline = json::parse(&text).expect("parse baseline");
+    if let Some((baseline_path, baseline)) = baseline {
         let regressions = check_regressions(&doc, &baseline);
         if !regressions.is_empty() {
             eprintln!("REGRESSIONS vs {baseline_path}:");
@@ -1396,6 +1196,168 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn check(current: &str, baseline: &str) -> Vec<String> {
+        check_regressions(
+            &json::parse(current).unwrap(),
+            &json::parse(baseline).unwrap(),
+        )
+    }
+
+    #[test]
+    fn gate_one_bounds_one_cpu_elapsed_growth() {
+        let msgs = check(
+            r#"{"runs":[
+                {"workload":"zero_fill","port":"vax","cpus":1,"elapsed_us":110},
+                {"workload":"fork_cow","port":"vax","cpus":1,"elapsed_us":130},
+                {"workload":"fork_cow","port":"vax","cpus":2,"elapsed_us":999}]}"#,
+            r#"{"runs":[
+                {"workload":"zero_fill","port":"vax","cpus":1,"elapsed_us":100},
+                {"workload":"fork_cow","port":"vax","cpus":1,"elapsed_us":100},
+                {"workload":"fork_cow","port":"vax","cpus":2,"elapsed_us":100}]}"#,
+        );
+        assert_eq!(
+            msgs,
+            ["fork_cow/vax/1 cpus: elapsed 130 us > 120 us (baseline 100 us +20%)"]
+        );
+    }
+
+    #[test]
+    fn gate_two_holds_scaling_gain_to_half_the_baseline() {
+        let msgs = check(
+            r#"{"runs":[
+                {"workload":"zero_fill","port":"romp","cpus":2},
+                {"workload":"fork_cow","port":"romp","cpus":2}],
+              "scaling":[
+                {"workload":"zero_fill","port":"romp","cpus":2,"gain_permille":1000},
+                {"workload":"fork_cow","port":"romp","cpus":2,"gain_permille":900}]}"#,
+            r#"{"scaling":[
+                {"workload":"zero_fill","port":"romp","cpus":2,"gain_permille":1900},
+                {"workload":"fork_cow","port":"romp","cpus":2,"gain_permille":2000}]}"#,
+        );
+        assert_eq!(
+            msgs,
+            ["fork_cow/romp/2 cpus: scaling gain 900‰ < floor 1000‰ (baseline 2000‰ × 50%)"]
+        );
+    }
+
+    #[test]
+    fn gate_three_prices_the_map_index() {
+        let ablation = |idx_1m: u64, idx_100: u64| {
+            format!(
+                r#"{{"map_index_ablation":[
+                    {{"entries":100,"mode":"indexed","cycles_per_lookup":{idx_100}}},
+                    {{"entries":100,"mode":"linear","cycles_per_lookup":55}},
+                    {{"entries":1000000,"mode":"indexed","cycles_per_lookup":{idx_1m}}},
+                    {{"entries":1000000,"mode":"linear","cycles_per_lookup":474616}}]}}"#
+            )
+        };
+        assert!(check(&ablation(21, 8), "{}").is_empty());
+        assert_eq!(
+            check(&ablation(50_000, 56), "{}"),
+            [
+                "map_index_ablation at 10^6 entries: indexed 50000 cycles/lookup is not 10x \
+                 better than linear 474616",
+                "map_index_ablation at 10^2 entries: indexed 56 cycles/lookup regressed vs \
+                 linear 55",
+            ]
+        );
+    }
+
+    #[test]
+    fn gate_four_bounds_fleet_shadow_depth() {
+        let msgs = check(
+            r#"{"runs":[
+                {"workload":"server_fleet","port":"sun3","cpus":2,"health":{"shadow_depth_p95":6}},
+                {"workload":"server_fleet","port":"sun3","cpus":4,"health":{"shadow_depth_p95":7}},
+                {"workload":"fork_cow","port":"sun3","cpus":4,"health":{"shadow_depth_p95":50}}]}"#,
+            "{}",
+        );
+        assert_eq!(
+            msgs,
+            ["server_fleet/sun3/4 cpus: shadow_depth_p95 7 > 6 (chain compaction not keeping up)"]
+        );
+    }
+
+    /// `row` with its `idx`-th gated observable off by one.
+    fn skewed(mut row: Json, idx: usize) -> Json {
+        let Json::Obj(fields) = &mut row else {
+            unreachable!("a run row is an object")
+        };
+        for (k, v) in fields {
+            if let (true, Json::Obj(obs)) = (k == "observables", v) {
+                if let Json::UInt(n) = &mut obs[idx].1 {
+                    *n += 1;
+                }
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn gate_five_holds_replay_rows_to_the_trace_and_to_each_other() {
+        let row = |port| replay_run("fork_storm", "trace_replay_fork_storm", port, 1);
+        let runs = |rows| Json::obj(vec![("runs", Json::Arr(rows))]);
+        let msgs = check_regressions(&runs(vec![row("vax"), skewed(row("romp"), 2)]), &Json::Null);
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(
+            msgs[0].starts_with("trace_replay_fork_storm/romp/1 cpus: ")
+                && msgs[0].contains("diverges from vax/1 cpus"),
+            "{msgs:?}"
+        );
+        // The first row of a trace answers to the trace's pinned line.
+        let msgs = check_regressions(&runs(vec![skewed(row("vax"), 6)]), &Json::Null);
+        assert_eq!(msgs.len(), 1, "{msgs:?}");
+        assert!(
+            msgs[0].starts_with("trace_replay_fork_storm/vax/1 cpus: ")
+                && msgs[0].contains("!= pinned expectation"),
+            "{msgs:?}"
+        );
+    }
+
+    #[test]
+    fn gate_six_holds_fleet_gauges_to_the_queue_bound() {
+        let msgs = check(
+            r#"{"runs":[
+                {"workload":"pager_fleet","port":"vax","cpus":1,"pager_fleet":[
+                    {"pager":0,"live":1,"queue_capacity":6,"queue_depth":0,"queue_depth_hwm":6}]},
+                {"workload":"pager_fleet","port":"vax","cpus":2,"pager_fleet":[
+                    {"pager":0,"live":0,"queue_capacity":6,"queue_depth":0,"queue_depth_hwm":2},
+                    {"pager":1,"live":1,"queue_capacity":6,"queue_depth":7,"queue_depth_hwm":7}]}]}"#,
+            "{}",
+        );
+        assert_eq!(
+            msgs,
+            [
+                "pager_fleet/vax/2 cpus: pager 0 died under a chaos-free bench workload",
+                "pager_fleet/vax/2 cpus: pager 1 queue depth 7/hwm 7 exceeds capacity 6",
+            ]
+        );
+    }
+
+    #[test]
+    fn gate_seven_nests_queue_wait_in_the_pager_wait_span() {
+        let row = |cpus: u64, queue_wait: u64| {
+            format!(
+                r#"{{"workload":"pageout_reclaim","port":"romp","cpus":{cpus},
+                    "causal":{{"queue_wait_cycles":{queue_wait}}},
+                    "profile":[{{"path":"fault","total_cycles":900}},
+                               {{"path":"fault/shadow_walk/pager_wait","total_cycles":60}},
+                               {{"path":"pager_wait","total_cycles":40}}]}}"#
+            )
+        };
+        let msgs = check(
+            &format!(r#"{{"runs":[{},{}]}}"#, row(1, 100), row(2, 101)),
+            "{}",
+        );
+        assert_eq!(
+            msgs,
+            [
+                "pageout_reclaim/romp/2 cpus: causal queue_wait 101 cycles exceeds the pager_wait \
+                 span total 100 — the decomposition does not nest in the span it explains"
+            ]
+        );
+    }
 
     #[test]
     fn gate_failure_leads_with_the_offending_row() {
@@ -1441,5 +1403,56 @@ mod tests {
         let msgs = check_regressions(&doc, &json::parse("{}").unwrap());
         assert_eq!(msgs.len(), 1, "{msgs:?}");
         assert!(msgs[0].starts_with("server_fleet/sun3/2 cpus: 3 shootdown timeouts"));
+    }
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn cli_defaults_to_the_full_matrix() {
+        let cli = parse(&[]).unwrap();
+        assert_eq!(cli.ports, PORTS);
+        assert_eq!(cli.workloads, WORKLOADS);
+        assert_eq!(cli.cpus, ALL_CPUS);
+        assert_eq!((cli.out.as_str(), cli.check), ("BENCH_vm.json", None));
+        let cli = parse(&[
+            "--ports",
+            "vax, sun3",
+            "--cpus",
+            "1,64",
+            "--workloads",
+            "pager_fleet",
+            "--out",
+            "b.json",
+            "--check",
+            "BENCH_vm.json",
+        ])
+        .unwrap();
+        assert_eq!(cli.ports, ["vax", "sun3"]);
+        assert_eq!(cli.cpus, [1, 64]);
+        assert_eq!(cli.workloads, ["pager_fleet"]);
+        assert_eq!(cli.out, "b.json");
+        assert_eq!(cli.check.as_deref(), Some("BENCH_vm.json"));
+    }
+
+    #[test]
+    fn cli_rejects_what_no_row_can_run() {
+        let err = |args: &[&str]| parse(args).unwrap_err();
+        let e = err(&["--ports", "vax,bogus"]);
+        assert!(
+            e.contains("\"bogus\"") && e.contains("vax, romp, sun3, ns32082, tlbsoft"),
+            "{e}"
+        );
+        let e = err(&["--workloads", "zero_fil"]);
+        assert!(
+            e.contains("\"zero_fil\"") && e.contains("trace_replay_chaos_pager"),
+            "{e}"
+        );
+        for cpus in ["0", "65", "two", "1,,2"] {
+            assert!(err(&["--cpus", cpus]).contains("1..=64"), "--cpus {cpus}");
+        }
+        assert!(err(&["--cpu", "1"]).contains("unknown flag \"--cpu\""));
+        assert_eq!(err(&["--out"]), "--out needs a value");
     }
 }

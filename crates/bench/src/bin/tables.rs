@@ -4,9 +4,13 @@
 //! tables [--table 7-1|7-2|ablations|all] [--quick]
 //! ```
 //!
+//! Any other argument, or an unknown table, exits 2 before a table runs.
+//!
 //! Absolute numbers come from the simulator's cost model (printed below);
 //! the claim being reproduced is the *shape* — which system wins each row
 //! and by roughly what factor.
+
+use std::process::ExitCode;
 
 use mach_bench::ablate;
 use mach_bench::report::{duration, header, ms, row, sec_pair};
@@ -15,16 +19,44 @@ use mach_hw::cost::{CostModel, DiskModel};
 use mach_hw::machine::MachineModel;
 use mach_pmap::ShootdownStrategy;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let table = args
-        .iter()
-        .position(|a| a == "--table")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
-        .unwrap_or("all")
-        .to_string();
-    let quick = args.iter().any(|a| a == "--quick");
+/// The values `--table` accepts.
+const TABLES: [&str; 4] = ["7-1", "7-2", "ablations", "all"];
+
+/// Parse the arguments after the program name into the table filter and
+/// the `--quick` switch, refusing anything else before a table runs.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, bool), String> {
+    let (mut table, mut quick) = ("all".to_string(), false);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--table" => {
+                table = args.next().ok_or("--table needs a value")?;
+                if !TABLES.contains(&table.as_str()) {
+                    return Err(format!(
+                        "unknown table {table:?} (valid: {})",
+                        TABLES.join(", ")
+                    ));
+                }
+            }
+            _ => {
+                return Err(format!(
+                    "unknown argument {arg:?} (usage: tables [--table {}] [--quick])",
+                    TABLES.join("|")
+                ))
+            }
+        }
+    }
+    Ok((table, quick))
+}
+
+fn main() -> ExitCode {
+    let (table, quick) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("tables: {e}");
+            return ExitCode::from(2);
+        }
+    };
 
     println!("Reproduction of Rashid et al., \"Machine-Independent Virtual Memory");
     println!("Management for Paged Uniprocessor and Multiprocessor Architectures\"");
@@ -40,6 +72,7 @@ fn main() {
     if table == "ablations" || table == "all" {
         ablations(quick);
     }
+    ExitCode::SUCCESS
 }
 
 fn print_cost_model() {
@@ -356,4 +389,29 @@ fn ablations(quick: bool) {
         );
     }
     println!();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(String, bool), String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn table_filter_must_name_a_table() {
+        assert_eq!(parse(&[]), Ok(("all".to_string(), false)));
+        assert_eq!(
+            parse(&["--table", "7-2", "--quick"]),
+            Ok(("7-2".to_string(), true))
+        );
+        let e = parse(&["--table", "7-3"]).unwrap_err();
+        assert!(
+            e.contains("\"7-3\"") && e.contains("7-1, 7-2, ablations, all"),
+            "{e}"
+        );
+        assert_eq!(parse(&["--table"]).unwrap_err(), "--table needs a value");
+        assert!(parse(&["--help"]).unwrap_err().contains("usage: tables"));
+    }
 }

@@ -21,9 +21,9 @@
 
 use std::sync::Arc;
 
-use mach_bench::replay::{differential, port_model, replay};
+use mach_bench::replay::{differential, make_files, port_model, replay};
 use mach_bench::scenario::{ChaosSpec, FileSpec, Scenario, GOLDEN_TRACES};
-use mach_fs::{BlockDevice, FileId, SimFs};
+use mach_fs::{FileId, SimFs};
 use mach_hw::machine::Machine;
 use mach_vm::{BootOptions, Inheritance, Kernel, Protection};
 
@@ -39,38 +39,17 @@ fn boot(port: &str, cpus: usize) -> (Arc<Machine>, Arc<Kernel>) {
     (machine, kernel)
 }
 
-/// Create `specs` files on a fresh private device (pre-recording, so the
-/// setup writes are not part of the trace) and return the live handles
-/// alongside the [`FileSpec`] table `from_recording` will renumber.
-fn make_files(
-    machine: &Arc<Machine>,
-    specs: &[(u64, u8)],
-) -> (Arc<SimFs>, Vec<FileId>, Vec<FileSpec>) {
-    let bs = machine.disk().block_size;
-    let total: u64 = specs.iter().map(|(size, _)| size).sum();
-    let dev = BlockDevice::new(machine, total / bs + 64);
-    let fs = SimFs::format(&dev);
-    let mut ids = Vec::new();
-    let mut table = Vec::new();
-    for (i, &(size, fill)) in specs.iter().enumerate() {
-        let f = fs
-            .create(&format!("f{}", i + 1))
-            .expect("create trace file");
-        let chunk = vec![fill; 64 * 1024];
-        let mut off = 0;
-        while off < size {
-            let n = chunk.len().min((size - off) as usize);
-            fs.write_at(f, off, &chunk[..n]).expect("fill trace file");
-            off += n as u64;
-        }
-        table.push(FileSpec {
-            id: f.0,
-            size,
-            fill,
-        });
-        ids.push(f);
-    }
-    (fs, ids, table)
+/// One file of `size` bytes of `fill` on a fresh private device, created
+/// before recording starts (so the setup writes are not part of the
+/// trace), with the [`FileSpec`] table `from_recording` will renumber.
+fn one_file(machine: &Arc<Machine>, size: u64, fill: u8) -> (Arc<SimFs>, FileId, Vec<FileSpec>) {
+    let spec = FileSpec { id: 1, size, fill };
+    let (fs, ids) = make_files(machine, &[spec]).expect("create trace file");
+    let raw = FileSpec {
+        id: ids[0].0,
+        ..spec
+    };
+    (fs, ids[0], vec![raw])
 }
 
 /// `fork_storm`: four fork generations advancing a lineage, each child
@@ -111,18 +90,18 @@ fn fork_storm() -> Scenario {
 fn file_reread() -> Scenario {
     let (machine, kernel) = boot("vax", 1);
     let ps = kernel.page_size();
-    let (fs, ids, table) = make_files(&machine, &[(8 * ps, 0xC3)]);
+    let (fs, file, table) = one_file(&machine, 8 * ps, 0xC3);
     kernel.enable_op_recording();
     let t = kernel.create_task();
     let addr = kernel
-        .map_file(&t, &fs, ids[0], None, Protection::READ)
+        .map_file(&t, &fs, file, None, Protection::READ)
         .expect("map_file");
     t.user(0, |u| u.touch_range(addr, 8 * ps).unwrap());
     t.map()
         .deallocate(kernel.ctx(), addr, 8 * ps)
         .expect("deallocate");
     let again = kernel
-        .map_file(&t, &fs, ids[0], None, Protection::READ)
+        .map_file(&t, &fs, file, None, Protection::READ)
         .expect("map_file again");
     t.user(0, |u| u.touch_range(again, 8 * ps).unwrap());
     kernel.disable_op_recording();
@@ -252,11 +231,11 @@ fn reclaim_pressure() -> Scenario {
 fn chaos_pager() -> Scenario {
     let (machine, kernel) = boot("vax", 1);
     let ps = kernel.page_size();
-    let (fs, ids, table) = make_files(&machine, &[(8 * ps, 0x7E)]);
+    let (fs, file, table) = one_file(&machine, 8 * ps, 0x7E);
     kernel.enable_op_recording();
     let t = kernel.create_task();
     let addr = kernel
-        .map_file(&t, &fs, ids[0], None, Protection::READ)
+        .map_file(&t, &fs, file, None, Protection::READ)
         .expect("map_file");
     t.user(0, |u| u.touch_range(addr, 8 * ps).unwrap());
     let anon = t
@@ -290,22 +269,21 @@ fn main() {
     let out_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/traces");
     std::fs::create_dir_all(&out_dir).expect("create tests/traces");
 
-    let builders: Vec<(&str, fn() -> Scenario)> = vec![
-        ("fork_storm", fork_storm),
-        ("file_reread", file_reread),
-        ("cow_narrowing", cow_narrowing),
-        ("mixed_inherit", mixed_inherit),
-        ("reclaim_pressure", reclaim_pressure),
-        ("chaos_pager", chaos_pager),
+    let builders = [
+        fork_storm,
+        file_reread,
+        cow_narrowing,
+        mixed_inherit,
+        reclaim_pressure,
+        chaos_pager,
     ];
-    assert_eq!(
-        builders.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-        GOLDEN_TRACES,
-        "generator and scenario::GOLDEN_TRACES must list the same corpus"
-    );
-
-    for (name, build) in builders {
+    assert_eq!(builders.len(), GOLDEN_TRACES.len());
+    for (build, &name) in builders.into_iter().zip(GOLDEN_TRACES) {
         let mut s = build();
+        assert_eq!(
+            s.name, name,
+            "generator and scenario::GOLDEN_TRACES must list the same corpus"
+        );
         // Pin the expectation from the canonical replay (VAX, one CPU),
         // then demand the whole matrix reproduces it before committing.
         let one = replay(&s, "vax", 1).unwrap_or_else(|e| panic!("{name}: vax replay: {e}"));

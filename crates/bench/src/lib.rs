@@ -20,6 +20,10 @@
 //! ```text
 //! cargo run -p mach-bench --bin tables --release
 //! ```
+//!
+//! and `bench_json` writes and gates the simulated-clock matrix
+//! `BENCH_vm.json`. Host time is measured by the separate `perfbench`
+//! package, so each clock has one harness.
 
 pub mod ablate;
 pub mod json;

@@ -30,24 +30,6 @@ impl SimTime {
     pub fn elapsed_ms(&self) -> f64 {
         self.elapsed_us as f64 / 1000.0
     }
-
-    /// elapsed time divided by `n` (per-operation cost), milliseconds.
-    pub fn elapsed_ms_per(&self, n: u64) -> f64 {
-        self.elapsed_ms() / n.max(1) as f64
-    }
-
-    /// How many times larger `other`'s elapsed time is.
-    pub fn speedup_vs(&self, other: &SimTime) -> f64 {
-        other.elapsed_us.max(1) as f64 / self.elapsed_us.max(1) as f64
-    }
-
-    /// Sum of two intervals.
-    pub fn plus(&self, other: SimTime) -> SimTime {
-        SimTime {
-            system_us: self.system_us + other.system_us,
-            elapsed_us: self.elapsed_us + other.elapsed_us,
-        }
-    }
 }
 
 impl std::fmt::Display for SimTime {
@@ -195,20 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn simtime_arithmetic() {
+    fn simtime_display() {
         let a = SimTime {
             system_us: 1000,
             elapsed_us: 2000,
         };
-        let b = SimTime {
-            system_us: 500,
-            elapsed_us: 1000,
-        };
-        let c = a.plus(b);
-        assert_eq!(c.system_us, 1500);
-        assert_eq!(c.elapsed_us, 3000);
-        assert_eq!(b.speedup_vs(&a), 2.0);
-        assert_eq!(a.elapsed_ms_per(4), 0.5);
         assert!(a.to_string().contains("sys/elapsed"));
     }
 }

@@ -48,7 +48,7 @@ use mach_vm::kernel::{BootOptions, Kernel};
 use mach_vm::{InjectPlan, Protection, Task, VmOp, VmStats};
 
 use crate::measure::{measured_parallel, SimTime};
-use crate::scenario::{Expectation, Scenario};
+use crate::scenario::{Expectation, FileSpec, Scenario};
 
 /// The five architecture ports, in canonical order.
 pub const PORTS: [&str; 5] = ["vax", "romp", "sun3", "ns32082", "tlbsoft"];
@@ -104,17 +104,35 @@ pub struct Observables {
 }
 
 impl Observables {
+    /// Names of the gated fields, in [`Observables::gated`] order.
+    pub const GATED: [&'static str; 7] = [
+        "logical_faults",
+        "zero_fill",
+        "cow",
+        "pageins",
+        "pageouts",
+        "reclaims",
+        "checksum",
+    ];
+
     /// The gated fields, labelled — what [`differential`] compares.
     pub fn gated(&self) -> [(&'static str, u64); 7] {
-        [
-            ("logical_faults", self.logical_faults),
-            ("zero_fill", self.zero_fill),
-            ("cow", self.cow),
-            ("pageins", self.pageins),
-            ("pageouts", self.pageouts),
-            ("reclaims", self.reclaims),
-            ("checksum", self.checksum),
-        ]
+        Self::pinned(&self.to_expectation())
+    }
+
+    /// A scenario's pinned expectation, labelled like
+    /// [`Observables::gated`].
+    pub fn pinned(e: &Expectation) -> [(&'static str, u64); 7] {
+        let values = [
+            e.logical_faults,
+            e.zero_fill,
+            e.cow,
+            e.pageins,
+            e.pageouts,
+            e.reclaims,
+            e.checksum,
+        ];
+        std::array::from_fn(|i| (Self::GATED[i], values[i]))
     }
 
     /// These observables as a scenario `expect` line.
@@ -136,22 +154,12 @@ impl Observables {
     ///
     /// Names every field that differs.
     pub fn matches(&self, e: &Expectation) -> Result<(), String> {
-        let want = Observables {
-            logical_faults: e.logical_faults,
-            zero_fill: e.zero_fill,
-            cow: e.cow,
-            pageins: e.pageins,
-            pageouts: e.pageouts,
-            reclaims: e.reclaims,
-            checksum: e.checksum,
-            ..*self
-        };
         let diffs: Vec<String> = self
             .gated()
-            .iter()
-            .zip(want.gated().iter())
-            .filter(|(got, want)| got.1 != want.1)
-            .map(|(got, want)| format!("{}: got {}, expected {}", got.0, got.1, want.1))
+            .into_iter()
+            .zip(Self::pinned(e))
+            .filter(|((_, got), (_, want))| got != want)
+            .map(|((name, got), (_, want))| format!("{name}: got {got}, expected {want}"))
             .collect();
         if diffs.is_empty() {
             Ok(())
@@ -291,29 +299,12 @@ pub fn replay_with_fleet(
     let kernel = Kernel::boot_with(&machine, opts);
 
     // Create the scenario's files on a private device (unmeasured setup).
-    let mut file_ids: HashMap<u64, FileId> = HashMap::new();
-    let fs = if scenario.files.is_empty() {
-        None
+    let (fs, file_ids) = if scenario.files.is_empty() {
+        (None, HashMap::new())
     } else {
-        let bs = machine.disk().block_size;
-        let total: u64 = scenario.files.iter().map(|f| f.size).sum();
-        let dev = BlockDevice::new(&machine, total / bs + 64);
-        let fs = SimFs::format(&dev);
-        for f in &scenario.files {
-            let id = fs
-                .create(&format!("f{}", f.id))
-                .map_err(|e| format!("create file {}: {e:?}", f.id))?;
-            let chunk = vec![f.fill; 64 * 1024];
-            let mut at = 0u64;
-            while at < f.size {
-                let take = (f.size - at).min(chunk.len() as u64);
-                fs.write_at(id, at, &chunk[..take as usize])
-                    .map_err(|e| format!("fill file {}: {e:?}", f.id))?;
-                at += take;
-            }
-            file_ids.insert(f.id, id);
-        }
-        Some(fs)
+        let (fs, ids) = make_files(&machine, &scenario.files)?;
+        let file_ids = scenario.files.iter().map(|f| f.id).zip(ids).collect();
+        (Some(fs), file_ids)
     };
 
     kernel.enable_health();
@@ -403,6 +394,39 @@ pub fn replay_with_fleet(
         stats,
         machine: machine.stats.snapshot(),
     })
+}
+
+/// Create `files` on a fresh private device, each named `f<id>` and
+/// filled with its fill byte, and return the file system with the new
+/// files' ids in `files` order.
+///
+/// # Errors
+///
+/// If the file system refuses a create or a write.
+pub fn make_files(
+    machine: &Arc<Machine>,
+    files: &[FileSpec],
+) -> Result<(Arc<SimFs>, Vec<FileId>), String> {
+    let bs = machine.disk().block_size;
+    let total: u64 = files.iter().map(|f| f.size).sum();
+    let dev = BlockDevice::new(machine, total / bs + 64);
+    let fs = SimFs::format(&dev);
+    let mut ids = Vec::with_capacity(files.len());
+    for f in files {
+        let id = fs
+            .create(&format!("f{}", f.id))
+            .map_err(|e| format!("create file {}: {e:?}", f.id))?;
+        let chunk = vec![f.fill; 64 * 1024];
+        let mut at = 0u64;
+        while at < f.size {
+            let take = (f.size - at).min(chunk.len() as u64);
+            fs.write_at(id, at, &chunk[..take as usize])
+                .map_err(|e| format!("fill file {}: {e:?}", f.id))?;
+            at += take;
+        }
+        ids.push(id);
+    }
+    Ok((fs, ids))
 }
 
 fn exec_op(
@@ -578,15 +602,8 @@ pub fn differential(scenario: &Scenario, cpu_counts: &[usize]) -> Result<Vec<Dif
                 }
             }
             if let Some(first) = rows.first() {
-                for (name, got) in outcome.obs.gated() {
-                    let want = first
-                        .outcome
-                        .obs
-                        .gated()
-                        .iter()
-                        .find(|(n, _)| *n == name)
-                        .map(|(_, v)| *v)
-                        .expect("same field set");
+                let firsts = first.outcome.obs.gated();
+                for ((name, got), (_, want)) in outcome.obs.gated().into_iter().zip(firsts) {
                     if got != want {
                         return Err(format!(
                             "[{}] {name} diverges: {} x{} says {want}, {port} x{cpus} says {got}",
@@ -608,7 +625,6 @@ pub fn differential(scenario: &Scenario, cpu_counts: &[usize]) -> Result<Vec<Dif
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::FileSpec;
     use mach_vm::OpRecord;
 
     fn mini() -> Scenario {

@@ -10,10 +10,11 @@ use std::sync::Arc;
 use mach_fs::{BlockDevice, SimFs};
 use mach_hw::machine::{Machine, MachineModel};
 use mach_unix::UnixKernel;
-use mach_vm::kernel::Kernel;
+use mach_vm::kernel::{BootOptions, Kernel};
 use mach_vm::types::Protection;
+use mach_vm::{FleetOptions, TraceLog};
 
-use crate::measure::{measured, SimTime};
+use crate::measure::{measured, traced, SimTime};
 
 /// Fixed process-bookkeeping cost charged by *both* systems' forks
 /// (process table, u-area, kernel stack — machinery outside the VM system
@@ -381,6 +382,55 @@ pub fn compile_unix(model: MachineModel, cfg: CompileConfig, buffers: usize) -> 
         }
     });
     t
+}
+
+// ----------------------------------------------------------------------
+// Causal-trace export: fleet refaults
+// ----------------------------------------------------------------------
+
+/// The pager-fleet refault workload the Perfetto export renders: a 2 MB
+/// uVAX II whose default pager runs as three fleet services, three tasks
+/// that dirty 16 pages each, a reclaim that evicts them all, and a
+/// read-back of every page — so each refault is a pagein across a fleet
+/// port carrying a causal id end to end. Returns the trace log of the
+/// whole run. Everything that reaches the ring is driven by the
+/// simulated clock of one CPU, so every call returns the same log.
+pub fn fleet_refault_trace() -> TraceLog {
+    // A small machine so reclaim pressure is cheap to create.
+    let mut model = MachineModel::micro_vax_ii();
+    model.mem_bytes = 2 << 20;
+    let machine = Machine::boot(model);
+    let mut opts = BootOptions::for_machine(&machine);
+    opts.pager_fleet = Some(FleetOptions {
+        pagers: 3,
+        queue_capacity: 8,
+    });
+    let kernel = Kernel::boot_with(&machine, opts);
+    let ps = kernel.page_size();
+    // The tasks outlive the capture: their teardown is not part of it.
+    let (log, _tasks) = traced(&kernel, 65_536, || {
+        let tasks: Vec<_> = (0..3)
+            .map(|_| {
+                let t = kernel.create_task();
+                let addr = t
+                    .map()
+                    .allocate(kernel.ctx(), None, 16 * ps, true)
+                    .expect("allocate");
+                t.user(0, |u| u.dirty_range(addr, 16 * ps).expect("dirty"));
+                (t, addr)
+            })
+            .collect();
+        while kernel.reclaim(32) > 0 {}
+        for (t, addr) in &tasks {
+            t.user(0, |u| {
+                for p in 0..16u64 {
+                    u.read_u32(addr + p * ps).expect("refault");
+                }
+            });
+        }
+        tasks
+    });
+    log
 }
 
 #[cfg(test)]

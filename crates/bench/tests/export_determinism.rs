@@ -5,44 +5,14 @@
 //! the bench crate's own hand-rolled parser (`mach_bench::json`).
 
 use mach_bench::json::{self, Json};
-use mach_hw::machine::{Machine, MachineModel};
-use mach_vm::kernel::{BootOptions, Kernel};
-use mach_vm::{chrome_trace_json, FleetOptions};
+use mach_bench::workloads::fleet_refault_trace;
+use mach_vm::chrome_trace_json;
 
-/// One deterministic fleet workload: dirty → evict → refault on a single
-/// simulated CPU, exported as Chrome-trace JSON. Everything that reaches
-/// the trace ring is driven by the simulated clock, so two runs produce
-/// identical logs and therefore identical bytes.
+/// The deterministic fleet refault workload, exported as Chrome-trace
+/// JSON. Two captures produce identical logs and therefore identical
+/// bytes.
 fn export_once() -> String {
-    let mut model = MachineModel::micro_vax_ii();
-    model.mem_bytes = 2 << 20;
-    let machine = Machine::boot(model);
-    let mut opts = BootOptions::for_machine(&machine);
-    opts.pager_fleet = Some(FleetOptions {
-        pagers: 3,
-        queue_capacity: 8,
-    });
-    let kernel = Kernel::boot_with(&machine, opts);
-    let ps = kernel.page_size();
-    kernel.enable_tracing(65_536);
-    let tasks: Vec<_> = (0..3)
-        .map(|_| {
-            let t = kernel.create_task();
-            let addr = t.map().allocate(kernel.ctx(), None, 16 * ps, true).unwrap();
-            t.user(0, |u| u.dirty_range(addr, 16 * ps).unwrap());
-            (t, addr)
-        })
-        .collect();
-    while kernel.reclaim(32) > 0 {}
-    for (t, addr) in &tasks {
-        t.user(0, |u| {
-            for p in 0..16u64 {
-                u.read_u32(addr + p * ps).unwrap();
-            }
-        });
-    }
-    let log = kernel.trace_log();
-    kernel.disable_tracing();
+    let log = fleet_refault_trace();
     assert!(
         !log.causal_breakdowns().is_empty(),
         "the workload leaves causal chains to export"

@@ -381,13 +381,10 @@ mod tests {
         drop(tb);
         let report = proxy.join().unwrap();
         assert!(
-            report.stats.recalls >= pages as u64,
+            report.stats.recalls >= pages,
             "B's reads recalled A's pages"
         );
-        assert!(
-            report.stats.writes >= pages as u64,
-            "recalls carried dirty data"
-        );
+        assert!(report.stats.writes >= pages, "recalls carried dirty data");
         // The master copy holds B's last version of every page.
         for i in 0..pages {
             let page = &report.pages[&(i * ps)];

@@ -1,10 +1,10 @@
 //! Perfetto export: capture a pager-fleet workload in the VM trace ring
 //! and render it as Chrome trace-event JSON.
 //!
-//! Boots a kernel with a three-service pager fleet, drives a
-//! dirty → reclaim → refault workload so every refault crosses a fleet
-//! port (minting a causal id and its enqueue/dequeue/served/delivered/
-//! wake boundary stamps), then exports the log with
+//! Runs [`fleet_refault_trace`]: a kernel with a three-service pager
+//! fleet drives a dirty → reclaim → refault workload so every refault
+//! crosses a fleet port (minting a causal id and its enqueue/dequeue/
+//! served/delivered/wake boundary stamps). The log is exported with
 //! [`mach_vm::chrome_trace_json`]:
 //!
 //! ```text
@@ -23,47 +23,12 @@
 //! byte-identical file (checked by `export_determinism` in
 //! `crates/bench` and by the CI artifact job).
 
-use mach_hw::machine::{Machine, MachineModel};
-use mach_vm::kernel::{BootOptions, Kernel};
-use mach_vm::{chrome_trace_json, FleetOptions};
+use mach_bench::workloads::fleet_refault_trace;
+use mach_vm::chrome_trace_json;
 
 fn main() {
     let out_path = std::env::args().nth(1);
-
-    // A small machine so reclaim pressure is cheap to create.
-    let mut model = MachineModel::micro_vax_ii();
-    model.mem_bytes = 2 << 20;
-    let machine = Machine::boot(model);
-    let mut opts = BootOptions::for_machine(&machine);
-    opts.pager_fleet = Some(FleetOptions {
-        pagers: 3,
-        queue_capacity: 8,
-    });
-    let kernel = Kernel::boot_with(&machine, opts);
-    let ps = kernel.page_size();
-    kernel.enable_tracing(65_536);
-
-    // Dirty several objects, evict them, and refault: the refaults are
-    // pageins through the fleet, each carrying a causal id end-to-end.
-    let tasks: Vec<_> = (0..3)
-        .map(|_| {
-            let t = kernel.create_task();
-            let addr = t.map().allocate(kernel.ctx(), None, 16 * ps, true).unwrap();
-            t.user(0, |u| u.dirty_range(addr, 16 * ps).unwrap());
-            (t, addr)
-        })
-        .collect();
-    while kernel.reclaim(32) > 0 {}
-    for (t, addr) in &tasks {
-        t.user(0, |u| {
-            for p in 0..16u64 {
-                u.read_u32(addr + p * ps).unwrap();
-            }
-        });
-    }
-
-    let log = kernel.trace_log();
-    kernel.disable_tracing();
+    let log = fleet_refault_trace();
 
     let pairs = log.fault_pairs();
     let chains = log.causal_breakdowns();

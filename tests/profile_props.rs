@@ -258,19 +258,12 @@ proptest! {
 /// equals the span total cycle-for-cycle — no epsilon, no tolerance.
 #[test]
 fn causal_decomposition_reconciles_with_pager_wait_span() {
+    use mach_bench::replay::{port_model, PORTS};
     use mach_vm::FleetOptions;
 
-    for port in ["vax", "romp", "sun3", "ns32082", "tlbsoft"] {
+    for port in PORTS {
         for cpus in [1usize, 4] {
-            let mut model = match port {
-                "vax" => MachineModel::micro_vax_ii(),
-                "romp" => MachineModel::rt_pc(),
-                "sun3" => MachineModel::sun_3_160(),
-                "ns32082" => MachineModel::multimax(cpus),
-                _ => MachineModel::rp3(cpus),
-            };
-            model.n_cpus = cpus;
-            let machine = Machine::boot(model);
+            let machine = Machine::boot(port_model(port, cpus));
             let mut opts = BootOptions::for_machine(&machine);
             opts.pager_fleet = Some(FleetOptions {
                 pagers: 3,
