@@ -6,6 +6,7 @@
 //! polls (which the simulated CPUs do at every memory access boundary).
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,6 +98,9 @@ impl AckLatch {
 #[derive(Debug)]
 pub struct InterruptBus {
     queues: Vec<Mutex<VecDeque<Ipi>>>,
+    /// `pending[i]` mirrors `!queues[i].is_empty()`, so a poll can test
+    /// for interrupts without taking the queue's lock.
+    pending: Vec<AtomicBool>,
 }
 
 impl InterruptBus {
@@ -104,6 +108,7 @@ impl InterruptBus {
     pub fn new(n_cpus: usize) -> InterruptBus {
         InterruptBus {
             queues: (0..n_cpus).map(|_| Mutex::new(VecDeque::new())).collect(),
+            pending: (0..n_cpus).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -118,27 +123,33 @@ impl InterruptBus {
     ///
     /// Panics if `cpu` is out of range.
     pub fn send(&self, cpu: usize, ipi: Ipi) {
-        self.queues[cpu].lock().push_back(ipi);
+        let mut q = self.queues[cpu].lock();
+        q.push_back(ipi);
+        // Set under the queue lock, as `drain` clears it, so the flag
+        // matches the queue whenever the lock is free. Release pairs with
+        // the Acquire in `has_pending`.
+        self.pending[cpu].store(true, Ordering::Release);
     }
 
     /// Post an IPI to every CPU except `sender`.
     pub fn broadcast_except(&self, sender: usize, ipi: &Ipi) {
-        for (i, q) in self.queues.iter().enumerate() {
-            if i != sender {
-                q.lock().push_back(ipi.clone());
-            }
+        for cpu in (0..self.n_cpus()).filter(|&cpu| cpu != sender) {
+            self.send(cpu, ipi.clone());
         }
     }
 
     /// Take all pending IPIs for `cpu` (the target's poll).
     pub fn drain(&self, cpu: usize) -> Vec<Ipi> {
         let mut q = self.queues[cpu].lock();
+        self.pending[cpu].store(false, Ordering::Release);
         q.drain(..).collect()
     }
 
-    /// True if `cpu` has pending interrupts (cheap check before drain).
+    /// True if `cpu` has pending interrupts (cheap check before drain):
+    /// one atomic load, no lock. A send racing this check is seen at the
+    /// next poll.
     pub fn has_pending(&self, cpu: usize) -> bool {
-        !self.queues[cpu].lock().is_empty()
+        self.pending[cpu].load(Ordering::Acquire)
     }
 }
 

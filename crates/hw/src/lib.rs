@@ -47,3 +47,14 @@ pub use arch::{ArchKind, CpuRegs};
 pub use cost::{Clock, ClockSnapshot, CostModel, DiskModel};
 pub use machine::{Machine, MachineModel};
 pub use tlb::FlushScope;
+
+/// Next value of a SplitMix64 stream: the seeded generator behind this
+/// crate's randomized tests.
+#[cfg(test)]
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -5,22 +5,29 @@
 //! that the resident page table must cope with (paper §5.1). Accessing a
 //! hole or an out-of-range address is a bus error.
 //!
-//! Storage is striped across chunk locks so that several simulated CPUs can
-//! access disjoint pages concurrently, as on a real shared-memory bus. A
-//! stripe is allocated on its first write: until then it reads as zeros,
-//! so booting a machine costs no host memory for RAM nothing has used.
+//! Storage is 4 KiB stripes of atomic 32-bit words, so several simulated
+//! CPUs access memory concurrently without taking a lock, as on a real
+//! shared-memory bus. Word stores are `Release` and word loads `Acquire`:
+//! a CPU that sees a new PTE also sees the page contents written before
+//! it. A stripe is allocated on its first write: until then it reads as
+//! zeros, so booting a machine costs no host memory for RAM nothing has
+//! used.
 
 use std::ops::Range;
-
-use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 use crate::addr::{PAddr, Pfn};
 
-const CHUNK_SHIFT: u32 = 16; // 64 KiB per lock stripe
-const CHUNK_SIZE: u64 = 1 << CHUNK_SHIFT;
+const STRIPE_SHIFT: u32 = 12; // 4 KiB per stripe
+const STRIPE_SIZE: u64 = 1 << STRIPE_SHIFT;
 
-/// One lock stripe: `None` until first written (all zeros).
-type Stripe = RwLock<Option<Box<[u8]>>>;
+/// One stripe's words, little-endian: byte `a` of memory is byte lane
+/// `a % 4` of word `a / 4`. Unset until first written (all zeros).
+type Stripe = OnceLock<Box<[AtomicU32]>>;
+
+/// Source bytes for [`PhysMem::zero`]: one stripe's worth of zeros.
+static ZEROS: [u8; STRIPE_SIZE as usize] = [0; STRIPE_SIZE as usize];
 
 /// An invalid physical access (out of range or into a hole).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +60,7 @@ impl std::error::Error for BusError {}
 pub struct PhysMem {
     size: u64,
     holes: Vec<Range<u64>>,
-    chunks: Vec<Stripe>,
+    stripes: Vec<Stripe>,
 }
 
 impl PhysMem {
@@ -70,20 +77,29 @@ impl PhysMem {
         for h in &holes {
             assert!(h.start < h.end && h.end <= size, "hole out of range");
         }
-        let n_chunks = size.div_ceil(CHUNK_SIZE) as usize;
+        let n_stripes = size.div_ceil(STRIPE_SIZE) as usize;
         PhysMem {
             size,
             holes,
-            chunks: (0..n_chunks).map(|_| RwLock::new(None)).collect(),
+            stripes: (0..n_stripes).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Run `f` on stripe `chunk`'s bytes under its write lock, allocating
-    /// the stripe (zeroed) on its first write.
-    fn with_stripe_mut<R>(&self, chunk: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let mut guard = self.chunks[chunk].write();
-        let len = (self.size - chunk as u64 * CHUNK_SIZE).min(CHUNK_SIZE) as usize;
-        f(guard.get_or_insert_with(|| vec![0u8; len].into_boxed_slice()))
+    /// Stripe `i`'s words, or `None` while it has never been written.
+    fn stripe(&self, i: usize) -> Option<&[AtomicU32]> {
+        self.stripes[i].get().map(|w| &w[..])
+    }
+
+    /// Stripe `i`'s words, allocating them (zeroed) on its first write.
+    /// The zeroed `Vec<u32>` is reused in place as the atomic words.
+    fn stripe_mut(&self, i: usize) -> &[AtomicU32] {
+        self.stripes[i].get_or_init(|| {
+            let len = (self.size - i as u64 * STRIPE_SIZE).min(STRIPE_SIZE);
+            vec![0u32; len.div_ceil(4) as usize]
+                .into_iter()
+                .map(AtomicU32::new)
+                .collect()
+        })
     }
 
     /// Total address-space size in bytes (including holes).
@@ -120,10 +136,10 @@ impl PhysMem {
     /// [`BusError`] if the range leaves memory or touches a hole.
     pub fn read(&self, pa: PAddr, buf: &mut [u8]) -> Result<(), BusError> {
         self.check(pa, buf.len() as u64)?;
-        for (chunk, within, at, take) in pieces(pa, buf.len()) {
+        for (stripe, within, at, take) in pieces(pa, buf.len()) {
             let dst = &mut buf[at..at + take];
-            match &*self.chunks[chunk].read() {
-                Some(bytes) => dst.copy_from_slice(&bytes[within..within + take]),
+            match self.stripe(stripe) {
+                Some(words) => load_bytes(words, within, dst),
                 None => dst.fill(0),
             }
         }
@@ -137,58 +153,76 @@ impl PhysMem {
     /// [`BusError`] if the range leaves memory or touches a hole.
     pub fn write(&self, pa: PAddr, buf: &[u8]) -> Result<(), BusError> {
         self.check(pa, buf.len() as u64)?;
-        for (chunk, within, at, take) in pieces(pa, buf.len()) {
-            self.with_stripe_mut(chunk, |bytes| {
-                bytes[within..within + take].copy_from_slice(&buf[at..at + take]);
-            });
+        for (stripe, within, at, take) in pieces(pa, buf.len()) {
+            store_bytes(self.stripe_mut(stripe), within, &buf[at..at + take]);
         }
         Ok(())
     }
 
-    /// Read a little-endian `u32` (PTE-sized) at `pa`.
+    /// The word at word-aligned `pa` (which never straddles a stripe).
+    fn word(&self, pa: PAddr) -> Option<&AtomicU32> {
+        let (stripe, index) = word_index(pa);
+        self.stripe(stripe).map(|w| &w[index])
+    }
+
+    /// [`PhysMem::word`], allocating its stripe.
+    fn word_mut(&self, pa: PAddr) -> &AtomicU32 {
+        let (stripe, index) = word_index(pa);
+        &self.stripe_mut(stripe)[index]
+    }
+
+    /// Read a little-endian `u32` (PTE-sized) at `pa`. A word-aligned
+    /// read is one `Acquire` load.
     ///
     /// # Errors
     ///
     /// [`BusError`] as for [`PhysMem::read`].
     pub fn read_u32(&self, pa: PAddr) -> Result<u32, BusError> {
-        let mut b = [0u8; 4];
-        self.read(pa, &mut b)?;
-        Ok(u32::from_le_bytes(b))
+        if !pa.0.is_multiple_of(4) {
+            let mut b = [0u8; 4];
+            self.read(pa, &mut b)?;
+            return Ok(u32::from_le_bytes(b));
+        }
+        self.check(pa, 4)?;
+        Ok(self.word(pa).map_or(0, |w| w.load(Ordering::Acquire)))
     }
 
-    /// Write a little-endian `u32` at `pa`.
+    /// Write a little-endian `u32` at `pa`. A word-aligned write is one
+    /// `Release` store.
     ///
     /// # Errors
     ///
     /// [`BusError`] as for [`PhysMem::write`].
     pub fn write_u32(&self, pa: PAddr, v: u32) -> Result<(), BusError> {
-        self.write(pa, &v.to_le_bytes())
+        if !pa.0.is_multiple_of(4) {
+            return self.write(pa, &v.to_le_bytes());
+        }
+        self.check(pa, 4)?;
+        self.word_mut(pa).store(v, Ordering::Release);
+        Ok(())
     }
 
     /// Atomically apply `f` to the `u32` at `pa`, returning the old value.
     ///
     /// Used by table walkers to set reference/modify bits without racing
-    /// other CPUs' walks.
+    /// other CPUs' walks. A compare-and-swap loop: `f` may run more than
+    /// once when another CPU changes the word meanwhile. Only a
+    /// word-aligned `pa` (every PTE is) is updated atomically.
     ///
     /// # Errors
     ///
     /// [`BusError`] as for [`PhysMem::read`].
-    pub fn update_u32(&self, pa: PAddr, f: impl FnOnce(u32) -> u32) -> Result<u32, BusError> {
-        self.check(pa, 4)?;
-        let chunk = (pa.0 >> CHUNK_SHIFT) as usize;
-        let within = (pa.0 & (CHUNK_SIZE - 1)) as usize;
-        // A PTE never straddles a 64 KiB stripe (stripes are PTE-aligned).
-        if within + 4 <= CHUNK_SIZE as usize {
-            Ok(self.with_stripe_mut(chunk, |bytes| {
-                let old = u32::from_le_bytes(bytes[within..within + 4].try_into().unwrap());
-                bytes[within..within + 4].copy_from_slice(&f(old).to_le_bytes());
-                old
-            }))
-        } else {
+    pub fn update_u32(&self, pa: PAddr, f: impl Fn(u32) -> u32) -> Result<u32, BusError> {
+        if !pa.0.is_multiple_of(4) {
             let old = self.read_u32(pa)?;
             self.write_u32(pa, f(old))?;
-            Ok(old)
+            return Ok(old);
         }
+        self.check(pa, 4)?;
+        let word = self.word_mut(pa);
+        let (Ok(old) | Err(old)) =
+            word.fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| Some(f(w)));
+        Ok(old)
     }
 
     /// Zero `len` bytes starting at `pa`.
@@ -198,10 +232,10 @@ impl PhysMem {
     /// [`BusError`] as for [`PhysMem::write`].
     pub fn zero(&self, pa: PAddr, len: u64) -> Result<(), BusError> {
         self.check(pa, len)?;
-        for (chunk, within, _, take) in pieces(pa, len as usize) {
+        for (stripe, within, _, take) in pieces(pa, len as usize) {
             // A stripe never written is zero already: leave it unallocated.
-            if let Some(bytes) = self.chunks[chunk].write().as_mut() {
-                bytes[within..within + take].fill(0);
+            if let Some(words) = self.stripe(stripe) {
+                store_bytes(words, within, &ZEROS[..take]);
             }
         }
         Ok(())
@@ -221,11 +255,47 @@ impl PhysMem {
             src.0 + len <= dst.0 || dst.0 + len <= src.0,
             "overlapping physical copy"
         );
-        // Bounce through a host buffer; page-sized, so cheap.
-        let mut buf = vec![0u8; len as usize];
-        self.read(src, &mut buf)?;
-        self.write(dst, &buf)
+        if !(src.0 | dst.0 | len).is_multiple_of(4) {
+            // Unaligned: bounce through a host buffer.
+            let mut buf = vec![0u8; len as usize];
+            self.read(src, &mut buf)?;
+            return self.write(dst, &buf);
+        }
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        // Word by word, in runs that stay inside one source stripe and
+        // one destination stripe.
+        let mut done = 0;
+        while done < len {
+            let (s, d) = (src.0 + done, dst.0 + done);
+            let take = (STRIPE_SIZE - s % STRIPE_SIZE)
+                .min(STRIPE_SIZE - d % STRIPE_SIZE)
+                .min(len - done);
+            let (s_stripe, s_index) = word_index(PAddr(s));
+            let (d_stripe, d_index) = word_index(PAddr(d));
+            let n = (take / 4) as usize;
+            match self.stripe(s_stripe) {
+                Some(from) => {
+                    let to = &self.stripe_mut(d_stripe)[d_index..d_index + n];
+                    for (t, f) in to.iter().zip(&from[s_index..s_index + n]) {
+                        t.store(f.load(Ordering::Acquire), Ordering::Release);
+                    }
+                }
+                // An unwritten source copies as zeros.
+                None => self.zero(PAddr(d), take)?,
+            }
+            done += take;
+        }
+        Ok(())
     }
+}
+
+/// The stripe and word index of word-aligned `pa`.
+fn word_index(pa: PAddr) -> (usize, usize) {
+    (
+        (pa.0 >> STRIPE_SHIFT) as usize,
+        ((pa.0 & (STRIPE_SIZE - 1)) / 4) as usize,
+    )
 }
 
 /// The stripe pieces of the `len` bytes at `pa`, as `(stripe, offset in
@@ -235,13 +305,72 @@ fn pieces(pa: PAddr, len: usize) -> impl Iterator<Item = (usize, usize, usize, u
     std::iter::from_fn(move || {
         (done < len).then(|| {
             let off = pa.0 + done as u64;
-            let within = (off & (CHUNK_SIZE - 1)) as usize;
-            let take = (CHUNK_SIZE as usize - within).min(len - done);
-            let piece = ((off >> CHUNK_SHIFT) as usize, within, done, take);
+            let within = (off & (STRIPE_SIZE - 1)) as usize;
+            let take = (STRIPE_SIZE as usize - within).min(len - done);
+            let piece = ((off >> STRIPE_SHIFT) as usize, within, done, take);
             done += take;
             piece
         })
     })
+}
+
+/// Split `len` bytes starting at byte `at` of a stripe into a leading
+/// partial word and whole words, as byte counts; the rest is a trailing
+/// partial word.
+fn split_words(at: usize, len: usize) -> (usize, usize) {
+    let head = ((4 - at % 4) % 4).min(len);
+    (head, (len - head) / 4 * 4)
+}
+
+/// Read `dst.len()` bytes from byte `at` of a stripe's `words`.
+fn load_bytes(words: &[AtomicU32], at: usize, dst: &mut [u8]) {
+    let (head, body) = split_words(at, dst.len());
+    let (head_dst, rest) = dst.split_at_mut(head);
+    let (body_dst, tail_dst) = rest.split_at_mut(body);
+    let lanes = |pos: usize, out: &mut [u8]| {
+        if !out.is_empty() {
+            let bytes = words[pos / 4].load(Ordering::Acquire).to_le_bytes();
+            out.copy_from_slice(&bytes[pos % 4..pos % 4 + out.len()]);
+        }
+    };
+    lanes(at, head_dst);
+    let first = (at + head) / 4;
+    for (d, w) in body_dst.chunks_exact_mut(4).zip(&words[first..]) {
+        d.copy_from_slice(&w.load(Ordering::Acquire).to_le_bytes());
+    }
+    lanes(at + head + body, tail_dst);
+}
+
+/// Write `src` at byte `at` of a stripe's `words`. Whole words are single
+/// stores; a partial word is merged by compare-and-swap, so bytes another
+/// CPU writes into the same word at the same time are kept.
+fn store_bytes(words: &[AtomicU32], at: usize, src: &[u8]) {
+    let (head, body) = split_words(at, src.len());
+    let (head_src, rest) = src.split_at(head);
+    let (body_src, tail_src) = rest.split_at(body);
+    let merge = |pos: usize, bytes: &[u8]| {
+        if bytes.is_empty() {
+            return;
+        }
+        let (mut mask, mut val) = (0u32, 0u32);
+        for (i, &b) in bytes.iter().enumerate() {
+            let shift = 8 * (pos % 4 + i);
+            mask |= 0xFF << shift;
+            val |= u32::from(b) << shift;
+        }
+        let _ = words[pos / 4].fetch_update(Ordering::Release, Ordering::Relaxed, |w| {
+            Some(w & !mask | val)
+        });
+    };
+    merge(at, head_src);
+    let first = (at + head) / 4;
+    for (w, s) in words[first..].iter().zip(body_src.chunks_exact(4)) {
+        w.store(
+            u32::from_le_bytes(s.try_into().expect("4-byte chunk")),
+            Ordering::Release,
+        );
+    }
+    merge(at + head + body, tail_src);
 }
 
 /// Boot-time allocator of hardware page frames.
@@ -434,6 +563,104 @@ mod tests {
         m.zero(PAddr(2048), 512).unwrap();
         m.read(PAddr(2048), &mut b).unwrap();
         assert!(b.iter().all(|&x| x == 0));
+        // Memory never written copies as zeros.
+        m.write(PAddr(2048), &[0xAA; 512]).unwrap();
+        m.copy(PAddr(1 << 19), PAddr(2048), 512).unwrap();
+        m.read(PAddr(2048), &mut b).unwrap();
+        assert!(b.iter().all(|&x| x == 0));
+    }
+
+    /// Random reads, writes, zeroes, copies and word accesses at unaligned
+    /// offsets, across stripe boundaries and next to a hole, checked
+    /// against a plain byte array. Accesses that touch the hole or leave
+    /// memory must fail and change nothing.
+    #[test]
+    fn matches_byte_array_model() {
+        const SIZE: u64 = 40 * 1024;
+        // Unaligned edges; the hole straddles the stripe boundary at 12 KiB.
+        let hole = 9_001..13_003;
+        let mem = PhysMem::new(SIZE, vec![hole.clone()]);
+        let mut model = vec![0u8; SIZE as usize];
+        let valid =
+            |pa: u64, len: u64| pa + len <= SIZE && (pa + len <= hole.start || pa >= hole.end);
+        let mut rng = 7;
+        let mut next = |n: u64| crate::splitmix64(&mut rng) % n;
+        let anchors = [0, 4096, 8192, hole.start, 12_288, hole.end, 16_384, SIZE];
+        for step in 0..20_000 {
+            // Offsets cluster around stripe boundaries and the hole's edges.
+            let mut addr = || (anchors[next(8) as usize] + next(24)).saturating_sub(12);
+            let (pa, other) = (addr(), addr());
+            let len = match next(3) {
+                0 => next(9),
+                1 => 4 * next(3),
+                _ => next(9_000),
+            };
+            let (at, end) = (pa as usize, (pa + len) as usize);
+            match next(7) {
+                0 => {
+                    let mut buf = vec![0xEE; len as usize];
+                    let r = mem.read(PAddr(pa), &mut buf);
+                    assert_eq!(r.is_ok(), valid(pa, len), "read, step {step}");
+                    if r.is_ok() {
+                        assert_eq!(buf, model[at..end], "read, step {step}");
+                    }
+                }
+                1 => {
+                    let buf: Vec<u8> = (0..len).map(|_| next(256) as u8).collect();
+                    let r = mem.write(PAddr(pa), &buf);
+                    assert_eq!(r.is_ok(), valid(pa, len), "write, step {step}");
+                    if r.is_ok() {
+                        model[at..end].copy_from_slice(&buf);
+                    }
+                }
+                2 => {
+                    let r = mem.zero(PAddr(pa), len);
+                    assert_eq!(r.is_ok(), valid(pa, len), "zero, step {step}");
+                    if r.is_ok() {
+                        model[at..end].fill(0);
+                    }
+                }
+                3 => {
+                    if pa + len > other && other + len > pa {
+                        continue; // overlapping copies are refused
+                    }
+                    let r = mem.copy(PAddr(pa), PAddr(other), len);
+                    let ok = valid(pa, len) && valid(other, len);
+                    assert_eq!(r.is_ok(), ok, "copy, step {step}");
+                    if ok {
+                        model.copy_within(at..end, other as usize);
+                    }
+                }
+                op => {
+                    let word = |m: &[u8]| u32::from_le_bytes(m[at..at + 4].try_into().unwrap());
+                    let ok = valid(pa, 4);
+                    let v = next(1 << 32) as u32;
+                    let r = match op {
+                        4 => mem.read_u32(PAddr(pa)).map(|got| {
+                            assert_eq!(got, word(&model), "read_u32, step {step}");
+                        }),
+                        5 => mem.write_u32(PAddr(pa), v),
+                        _ => mem
+                            .update_u32(PAddr(pa), |w| w.rotate_left(3) ^ v)
+                            .map(|old| assert_eq!(old, word(&model), "update_u32, step {step}")),
+                    };
+                    assert_eq!(r.is_ok(), ok, "word op {op}, step {step}");
+                    if ok && op != 4 {
+                        let new = if op == 5 {
+                            v
+                        } else {
+                            word(&model).rotate_left(3) ^ v
+                        };
+                        model[at..at + 4].copy_from_slice(&new.to_le_bytes());
+                    }
+                }
+            }
+        }
+        for range in [0..hole.start, hole.end..SIZE] {
+            let mut buf = vec![0; (range.end - range.start) as usize];
+            mem.read(PAddr(range.start), &mut buf).unwrap();
+            assert_eq!(buf, model[range.start as usize..range.end as usize]);
+        }
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! per-architecture (SUN 3 context number, ROMP segment id, or 0 for
 //! untagged TLBs that flush on every address-space switch).
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use crate::addr::{Access, HwProt, Pfn};
 
 /// One TLB entry.
@@ -73,6 +76,10 @@ pub struct TlbStats {
 
 /// A fully-associative, FIFO-replacement TLB.
 ///
+/// A free slot is filled lowest-index first; once every slot is live, the
+/// victim pointer evicts round-robin. A `(space, vpn)` index and a
+/// free-slot bitmap make lookup, insert and page flush O(1).
+///
 /// # Examples
 ///
 /// ```
@@ -86,6 +93,10 @@ pub struct TlbStats {
 #[derive(Debug)]
 pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
+    /// Slot of every live entry, by `(space, vpn)`.
+    index: HashMap<(u32, u64), usize, BuildHasherDefault<KeyHasher>>,
+    /// Bit `i % 64` of word `i / 64` set: slot `i` is free.
+    free: Vec<u64>,
     next_victim: usize,
     stats: TlbStats,
 }
@@ -98,11 +109,15 @@ impl Tlb {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Tlb {
         assert!(capacity > 0, "a TLB needs at least one entry");
-        Tlb {
+        let mut tlb = Tlb {
             entries: vec![None; capacity],
+            index: HashMap::with_capacity_and_hasher(capacity, Default::default()),
+            free: vec![0; capacity.div_ceil(64)],
             next_victim: 0,
             stats: TlbStats::default(),
-        }
+        };
+        (0..capacity).for_each(|slot| tlb.set_free(slot, true));
+        tlb
     }
 
     /// Capacity in entries.
@@ -115,25 +130,47 @@ impl Tlb {
         self.stats
     }
 
+    fn set_free(&mut self, slot: usize, free: bool) {
+        let bit = 1u64 << (slot % 64);
+        if free {
+            self.free[slot / 64] |= bit;
+        } else {
+            self.free[slot / 64] &= !bit;
+        }
+    }
+
+    /// The lowest-numbered free slot.
+    fn first_free(&self) -> Option<usize> {
+        let (word, bits) = self.free.iter().enumerate().find(|(_, &b)| b != 0)?;
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// Empty `slot`, returning whether it held an entry.
+    fn clear_slot(&mut self, slot: usize) -> bool {
+        let Some(e) = self.entries[slot].take() else {
+            return false;
+        };
+        self.index.remove(&(e.space, e.vpn));
+        self.set_free(slot, true);
+        true
+    }
+
     /// Look up `(space, vpn)` for `access`.
     pub fn lookup(&mut self, space: u32, vpn: u64, access: Access) -> TlbLookup {
-        for e in self.entries.iter().flatten() {
-            if e.space == space && e.vpn == vpn {
-                if !e.prot.allows(access) {
-                    // A protection miss counts as a hit for stats: the
-                    // hardware found the entry.
-                    self.stats.hits += 1;
-                    return TlbLookup::Denied;
-                }
-                self.stats.hits += 1;
-                return TlbLookup::Hit {
-                    pfn: e.pfn,
-                    needs_dirty_walk: access.is_write() && !e.dirty,
-                };
-            }
+        let Some(e) = self.index.get(&(space, vpn)).and_then(|&i| self.entries[i]) else {
+            self.stats.misses += 1;
+            return TlbLookup::Miss;
+        };
+        // A protection miss counts as a hit for stats: the hardware found
+        // the entry.
+        self.stats.hits += 1;
+        if !e.prot.allows(access) {
+            return TlbLookup::Denied;
         }
-        self.stats.misses += 1;
-        TlbLookup::Miss
+        TlbLookup::Hit {
+            pfn: e.pfn,
+            needs_dirty_walk: access.is_write() && !e.dirty,
+        }
     }
 
     /// Insert (or replace) the entry for `(space, vpn)`.
@@ -145,29 +182,29 @@ impl Tlb {
             prot,
             dirty,
         };
-        // Replace an existing mapping of the same page if present.
-        for slot in self.entries.iter_mut() {
-            if let Some(e) = slot {
-                if e.space == space && e.vpn == vpn {
-                    *slot = Some(new);
-                    return;
-                }
+        // Replace an existing mapping of the same page if present;
+        // otherwise take a free slot, else FIFO-evict.
+        let slot = match self.index.get(&(space, vpn)) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.first_free().unwrap_or_else(|| {
+                    let v = self.next_victim;
+                    self.next_victim = (v + 1) % self.entries.len();
+                    self.clear_slot(v);
+                    v
+                });
+                self.set_free(slot, false);
+                self.index.insert((space, vpn), slot);
+                slot
             }
-        }
-        // Otherwise take a free slot, else FIFO-evict.
-        if let Some(slot) = self.entries.iter_mut().find(|s| s.is_none()) {
-            *slot = Some(new);
-            return;
-        }
-        let v = self.next_victim;
-        self.entries[v] = Some(new);
-        self.next_victim = (v + 1) % self.entries.len();
+        };
+        self.entries[slot] = Some(new);
     }
 
     /// Mark the entry for `(space, vpn)` dirty (after a dirty walk).
     pub fn set_dirty(&mut self, space: u32, vpn: u64) {
-        for e in self.entries.iter_mut().flatten() {
-            if e.space == space && e.vpn == vpn {
+        if let Some(&slot) = self.index.get(&(space, vpn)) {
+            if let Some(e) = &mut self.entries[slot] {
                 e.dirty = true;
             }
         }
@@ -175,19 +212,21 @@ impl Tlb {
 
     /// Remove entries matching `scope`, returning how many were removed.
     pub fn flush(&mut self, scope: FlushScope) -> usize {
-        let mut n = 0;
-        for slot in self.entries.iter_mut() {
-            let matches = match (*slot, scope) {
-                (None, _) => false,
-                (Some(_), FlushScope::All) => true,
-                (Some(e), FlushScope::Space(s)) => e.space == s,
-                (Some(e), FlushScope::Page { space, vpn }) => e.space == space && e.vpn == vpn,
-            };
-            if matches {
-                *slot = None;
-                n += 1;
-            }
-        }
+        let n = match scope {
+            FlushScope::Page { space, vpn } => self
+                .index
+                .get(&(space, vpn))
+                .copied()
+                .map_or(0, |slot| usize::from(self.clear_slot(slot))),
+            FlushScope::Space(s) => (0..self.entries.len())
+                .filter(|&slot| {
+                    self.entries[slot].is_some_and(|e| e.space == s) && self.clear_slot(slot)
+                })
+                .count(),
+            FlushScope::All => (0..self.entries.len())
+                .filter(|&slot| self.clear_slot(slot))
+                .count(),
+        };
         self.stats.flushed += n as u64;
         n
     }
@@ -195,6 +234,37 @@ impl Tlb {
     /// Iterate over live entries (for tests and diagnostics).
     pub fn iter(&self) -> impl Iterator<Item = &TlbEntry> {
         self.entries.iter().flatten()
+    }
+}
+
+/// Hasher for the TLB's `(space, vpn)` keys: one multiply-rotate per
+/// integer, as in rustc's `FxHasher`. Keys are simulated page numbers,
+/// and a TLB holds at most its capacity of them, so a worst-case collision
+/// chain costs no more than a scan of the slots.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
     }
 }
 
@@ -326,5 +396,145 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_panics() {
         let _ = Tlb::new(0);
+    }
+
+    /// A TLB whose every operation scans the slots: the reference for
+    /// [`indexed_tlb_matches_linear_scan`].
+    struct LinearTlb {
+        entries: Vec<Option<TlbEntry>>,
+        next_victim: usize,
+        stats: TlbStats,
+    }
+
+    impl LinearTlb {
+        fn new(capacity: usize) -> LinearTlb {
+            LinearTlb {
+                entries: vec![None; capacity],
+                next_victim: 0,
+                stats: TlbStats::default(),
+            }
+        }
+
+        fn lookup(&mut self, space: u32, vpn: u64, access: Access) -> TlbLookup {
+            for e in self.entries.iter().flatten() {
+                if e.space == space && e.vpn == vpn {
+                    self.stats.hits += 1;
+                    if !e.prot.allows(access) {
+                        return TlbLookup::Denied;
+                    }
+                    return TlbLookup::Hit {
+                        pfn: e.pfn,
+                        needs_dirty_walk: access.is_write() && !e.dirty,
+                    };
+                }
+            }
+            self.stats.misses += 1;
+            TlbLookup::Miss
+        }
+
+        fn insert(&mut self, new: TlbEntry) {
+            for slot in self.entries.iter_mut() {
+                if slot.is_some_and(|e| e.space == new.space && e.vpn == new.vpn) {
+                    *slot = Some(new);
+                    return;
+                }
+            }
+            if let Some(slot) = self.entries.iter_mut().find(|s| s.is_none()) {
+                *slot = Some(new);
+                return;
+            }
+            let v = self.next_victim;
+            self.entries[v] = Some(new);
+            self.next_victim = (v + 1) % self.entries.len();
+        }
+
+        fn set_dirty(&mut self, space: u32, vpn: u64) {
+            for e in self.entries.iter_mut().flatten() {
+                if e.space == space && e.vpn == vpn {
+                    e.dirty = true;
+                }
+            }
+        }
+
+        fn flush(&mut self, scope: FlushScope) -> usize {
+            let mut n = 0;
+            for slot in self.entries.iter_mut() {
+                let matches = match (*slot, scope) {
+                    (None, _) => false,
+                    (Some(_), FlushScope::All) => true,
+                    (Some(e), FlushScope::Space(s)) => e.space == s,
+                    (Some(e), FlushScope::Page { space, vpn }) => e.space == space && e.vpn == vpn,
+                };
+                if matches {
+                    *slot = None;
+                    n += 1;
+                }
+            }
+            self.stats.flushed += n as u64;
+            n
+        }
+    }
+
+    /// A seeded stream of inserts, lookups, dirty marks and flushes of
+    /// every scope drives the indexed TLB and the linear-scan reference
+    /// side by side: after every operation both must agree on the result,
+    /// the live entries in slot order and the statistics.
+    #[test]
+    fn indexed_tlb_matches_linear_scan() {
+        let accesses = [Access::Read, Access::Write, Access::Execute];
+        for capacity in [1, 64, 128] {
+            let mut rng = capacity as u64;
+            let mut next = |n: u64| crate::splitmix64(&mut rng) % n;
+            let mut tlb = Tlb::new(capacity);
+            let mut reference = LinearTlb::new(capacity);
+            // Twice the capacity in pages over three spaces, so the TLB
+            // fills, evicts and refills.
+            let pages = 2 * capacity as u64 + 3;
+            for step in 0..20_000 {
+                let (space, vpn) = (next(3) as u32, next(pages));
+                match next(100) {
+                    0..=39 => {
+                        let access = accesses[next(3) as usize];
+                        assert_eq!(
+                            tlb.lookup(space, vpn, access),
+                            reference.lookup(space, vpn, access),
+                            "lookup, step {step}"
+                        );
+                    }
+                    40..=79 => {
+                        let e = TlbEntry {
+                            space,
+                            vpn,
+                            pfn: Pfn(next(1 << 20)),
+                            prot: HwProt::from_bits(next(8) as u8),
+                            dirty: next(2) == 0,
+                        };
+                        tlb.insert(e.space, e.vpn, e.pfn, e.prot, e.dirty);
+                        reference.insert(e);
+                    }
+                    80..=89 => {
+                        tlb.set_dirty(space, vpn);
+                        reference.set_dirty(space, vpn);
+                    }
+                    r => {
+                        let scope = match r {
+                            90..=96 => FlushScope::Page { space, vpn },
+                            97 | 98 => FlushScope::Space(space),
+                            _ => FlushScope::All,
+                        };
+                        assert_eq!(
+                            tlb.flush(scope),
+                            reference.flush(scope),
+                            "flush, step {step}"
+                        );
+                    }
+                }
+                assert!(
+                    tlb.iter().eq(reference.entries.iter().flatten()),
+                    "entries, step {step}"
+                );
+                assert_eq!(tlb.stats(), reference.stats, "stats, step {step}");
+            }
+        }
     }
 }

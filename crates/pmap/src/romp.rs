@@ -375,7 +375,9 @@ impl HwTables for RompTables {
         };
         let flags = self.core.machine.phys().read_u32(fa).expect("IPT resident");
         let mask = if clear_mod { F_M } else { 0 } | if clear_ref { F_REF } else { 0 };
-        let _ = self.core.machine.phys().update_u32(fa, |f| f & !mask);
+        if mask != 0 {
+            let _ = self.core.machine.phys().update_u32(fa, |f| f & !mask);
+        }
         (flags & F_M != 0, flags & F_REF != 0)
     }
 

@@ -330,7 +330,9 @@ impl HwTables for VaxTables {
             return (false, false);
         };
         let mask = if clear_mod { PTE_M } else { 0 } | if clear_ref { PTE_REF } else { 0 };
-        let _ = self.core.machine.phys().update_u32(pte_pa, |w| w & !mask);
+        if mask != 0 {
+            let _ = self.core.machine.phys().update_u32(pte_pa, |w| w & !mask);
+        }
         (word & PTE_M != 0, word & PTE_REF != 0)
     }
 

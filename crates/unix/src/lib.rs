@@ -225,9 +225,7 @@ impl UnixKernel {
             let pa = PAddr(frame.0 * self.machine.hw_page_size());
             // Pull the mapping, then write to swap (always dirty: the
             // baseline does not track modify bits).
-            self.machdep.remove_all(pa, self.page_size);
-            self.machdep.clear_modify(pa, self.page_size);
-            self.machdep.clear_reference(pa, self.page_size);
+            self.machdep.page_free(pa, self.page_size);
             let mut buf = vec![0u8; self.page_size as usize];
             self.machine.phys().read(pa, &mut buf).expect("resident");
             let slot = self.next_swap.fetch_add(1, Ordering::Relaxed);
@@ -545,9 +543,7 @@ impl Drop for UnixProc {
         let inner = self.inner.lock();
         for (&_vpn, &frame) in &inner.pages {
             let pa = PAddr(frame.0 * k.machine.hw_page_size());
-            k.machdep.remove_all(pa, k.page_size);
-            k.machdep.clear_modify(pa, k.page_size);
-            k.machdep.clear_reference(pa, k.page_size);
+            k.machdep.page_free(pa, k.page_size);
             k.free.lock().push(frame);
         }
         let mut swap = k.swap.lock();

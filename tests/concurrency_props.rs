@@ -9,13 +9,19 @@
 //! begin/end pairing, shared-vs-copy visibility, data integrity through
 //! racing reclaim.
 //!
+//! The `physical_memory_*` cases drive simulated physical memory
+//! directly from two threads: its lock-free word accesses must keep every
+//! store and publish a page together with the PTE that maps it.
+//!
 //! The CI `tsan` job additionally runs this suite under
 //! ThreadSanitizer (`-Zsanitizer=thread`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
+use mach_hw::addr::PAddr;
 use mach_hw::machine::{Machine, MachineModel};
+use mach_hw::phys::PhysMem;
 use mach_vm::kernel::Kernel;
 use mach_vm::types::{Inheritance, Protection};
 
@@ -349,4 +355,90 @@ fn dirty_data_survives_racing_reclaim() {
         h.join().unwrap();
     }
     assert_ledger_empty(&kernel, total);
+}
+
+/// Simulated physical memory takes no lock, yet a CPU that fills a page
+/// and then publishes a PTE word for it makes the fill visible to any CPU
+/// that sees the PTE.
+#[test]
+fn physical_memory_publishes_a_page_with_its_pte() {
+    const ROUNDS: u32 = 2_000;
+    let mem = PhysMem::new(64 * 1024, Vec::new());
+    let (page, pte, ack) = (PAddr(8192), PAddr(40_960), PAddr(40_964));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for round in 1..=ROUNDS {
+                mem.write(page, &[round as u8; 4096]).unwrap();
+                mem.write_u32(pte, round).unwrap();
+                // The reader acknowledges before the page is refilled.
+                while mem.read_u32(ack).unwrap() != round {
+                    std::hint::spin_loop();
+                }
+            }
+        });
+        s.spawn(|| {
+            let mut buf = [0u8; 4096];
+            for round in 1..=ROUNDS {
+                while mem.read_u32(pte).unwrap() != round {
+                    std::hint::spin_loop();
+                }
+                mem.read(page, &mut buf).unwrap();
+                assert!(
+                    buf.iter().all(|&b| b == round as u8),
+                    "round {round}: PTE visible before the page it maps"
+                );
+                mem.write_u32(ack, round).unwrap();
+            }
+        });
+    });
+}
+
+/// Two CPUs storing to different bytes of one word never lose each
+/// other's stores: partial-word writes merge atomically.
+#[test]
+fn physical_memory_keeps_racing_byte_writes_to_one_word() {
+    const WRITES: u32 = 50_000;
+    let mem = PhysMem::new(4096, Vec::new());
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        // One CPU owns byte 1 of the word at 64, the other bytes 2 and 3.
+        for (at, len) in [(65u64, 1usize), (66, 2)] {
+            let (mem, barrier) = (&mem, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                let mut got = [0u8; 2];
+                for v in 1..=WRITES {
+                    let bytes = &v.to_le_bytes()[..len];
+                    mem.write(PAddr(at), bytes).unwrap();
+                    mem.read(PAddr(at), &mut got[..len]).unwrap();
+                    assert_eq!(&got[..len], bytes, "store {v} at {at} was lost");
+                }
+            });
+        }
+    });
+    let last = WRITES.to_le_bytes();
+    assert_eq!(
+        mem.read_u32(PAddr(64)).unwrap(),
+        u32::from_le_bytes([0, last[0], last[0], last[1]])
+    );
+}
+
+/// Two CPUs applying `update_u32` to one word — table walkers setting
+/// reference and modify bits — never lose an update.
+#[test]
+fn physical_memory_keeps_racing_word_updates() {
+    const UPDATES: u32 = 100_000;
+    let mem = PhysMem::new(4096, Vec::new());
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                barrier.wait();
+                for _ in 0..UPDATES {
+                    mem.update_u32(PAddr(128), |w| w + 1).unwrap();
+                }
+            });
+        }
+    });
+    assert_eq!(mem.read_u32(PAddr(128)).unwrap(), 2 * UPDATES);
 }
