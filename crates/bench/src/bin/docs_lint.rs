@@ -1,4 +1,4 @@
-//! Intra-repo markdown link checker (the CI `docs` job's lint step).
+//! Intra-repo markdown checker (the CI `docs` job's lint step).
 //!
 //! Walks every `*.md` file in the repository (skipping `target/` and
 //! hidden directories), extracts inline links and images
@@ -8,15 +8,22 @@
 //! are out of scope — the point is catching docs that rot when files are
 //! renamed, like `docs/ARCHITECTURE.md`'s tour of the workspace.
 //!
+//! It also fails unless the lock-order block of DESIGN.md §8 (the first
+//! fenced block in that section) names the sites of
+//! `mach_hw::lock::LockSite::ALL`, one per line, in rank order.
+//!
 //! ```text
 //! cargo run --release -p mach-bench --bin docs_lint
 //! ```
 //!
-//! Exit status: 0 when every relative link resolves, 1 otherwise (each
-//! broken link is printed as `file:line: broken link "dest"`).
+//! Exit status: 0 when every relative link resolves and the lock order
+//! matches, 1 otherwise (each broken link is printed as
+//! `file:line: broken link "dest"`).
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+use mach_hw::lock::LockSite;
 
 /// Repository root: this crate lives at `<root>/crates/bench`.
 fn repo_root() -> PathBuf {
@@ -84,10 +91,32 @@ fn is_checkable(dest: &str) -> bool {
         || dest.starts_with('/'))
 }
 
+/// The first word of each line of the first fenced block in DESIGN.md
+/// §8: the lock order as the design document states it.
+fn documented_lock_order(design: &str) -> Vec<String> {
+    design
+        .lines()
+        .skip_while(|l| !l.starts_with("## 8."))
+        .skip_while(|l| !l.starts_with("```"))
+        .skip(1)
+        .take_while(|l| !l.starts_with("```"))
+        .filter_map(|l| l.split_whitespace().next())
+        .map(str::to_string)
+        .collect()
+}
+
 fn main() -> ExitCode {
     let root = repo_root();
     let files = markdown_files(&root);
     let mut broken = Vec::new();
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap_or_default();
+    let documented = documented_lock_order(&design);
+    let code: Vec<&str> = LockSite::ALL.iter().map(|s| s.name()).collect();
+    if documented != code {
+        broken.push(format!(
+            "DESIGN.md §8: lock order block lists {documented:?}, LockSite::ALL is {code:?}"
+        ));
+    }
     for file in &files {
         let Ok(text) = std::fs::read_to_string(file) else {
             continue;
@@ -123,7 +152,7 @@ fn main() -> ExitCode {
         }
     }
     eprintln!(
-        "docs_lint: {} markdown files, {} broken links",
+        "docs_lint: {} markdown files, {} problems",
         files.len(),
         broken.len()
     );
@@ -134,5 +163,23 @@ fn main() -> ExitCode {
             eprintln!("  {b}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lock_order_block_is_read_from_section_8() {
+        let doc = "## 7. x\n```\nnot_this\n```\n## 8. Locks\ntext\n```text\nvm_map  maps\n\npv_shard  shards\n```\n```\nlater\n```\n";
+        assert_eq!(documented_lock_order(doc), ["vm_map", "pv_shard"]);
+    }
+
+    #[test]
+    fn design_md_lists_the_lock_sites_in_rank_order() {
+        let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).unwrap();
+        let code: Vec<&str> = LockSite::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(documented_lock_order(&design), code);
     }
 }

@@ -53,10 +53,6 @@ pub struct CoreRefs {
     /// The VM event trace sink (disabled by default; a branch, not a
     /// lock, on every emission site — see [`crate::trace`]).
     pub trace: Arc<TraceSink>,
-    /// The lock-contention observatory over the sharded layer (disabled
-    /// by default; same one-relaxed-load contract — see
-    /// [`crate::lockstat`]).
-    pub locks: Arc<crate::lockstat::LockStats>,
     /// The deterministic fault-injection engine (inert unless the kernel
     /// booted with an [`crate::BootOptions::inject`] plan — see
     /// [`crate::inject`]).

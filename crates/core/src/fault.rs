@@ -190,12 +190,7 @@ fn wait_not_busy(ctx: &CoreRefs, obj: &Arc<VmObject>, page: PageId) -> VmResult<
         if !busy {
             return Ok(());
         }
-        let _q = ctx.machine.kernel_block();
-        if obj
-            .busy_wakeup
-            .wait_for(&mut s, ctx.pager_timeout)
-            .timed_out()
-        {
+        if s.wait_for(&obj.busy_wakeup, ctx.pager_timeout) {
             return Err(VmError::PagerDied);
         }
     }
@@ -336,8 +331,7 @@ fn fault_body(
                     if still & access.bits() == 0 {
                         break;
                     }
-                    let _q = ctx.machine.kernel_block();
-                    if first.busy_wakeup.wait_until(&mut s, deadline).timed_out() {
+                    if s.wait_until(&first.busy_wakeup, deadline) {
                         return Err(VmError::PagerDied);
                     }
                 }
@@ -367,12 +361,7 @@ fn fault_body(
                         return Err(VmError::PagerDied); // quarantined: fail fast
                     }
                     // Someone is filling it; sleep and restart the fault.
-                    let _q = ctx.machine.kernel_block();
-                    if obj
-                        .busy_wakeup
-                        .wait_for(&mut s, ctx.pager_timeout)
-                        .timed_out()
-                    {
+                    if s.wait_for(&obj.busy_wakeup, ctx.pager_timeout) {
                         return Err(VmError::PagerDied);
                     }
                     drop(s);

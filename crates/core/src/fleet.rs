@@ -39,11 +39,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use mach_hw::lock::{KernelMutex, LockSite};
 use mach_hw::machine::Machine;
 use mach_ipc::{IpcError, Message, MsgField, Port, ReceiveRight, SendRight};
 use parking_lot::Mutex;
 
-use crate::lockstat::{LockSite, LockStats};
 use crate::pager::{Pager, PagerReply};
 use crate::stats::VmStatsAtomic;
 use crate::trace::{CausalPhase, TraceEvent, TraceSink};
@@ -101,11 +101,10 @@ pub struct PagerFleet {
     store: Arc<FleetStore>,
     /// object id → service index. Lock order: leaf — nothing else is
     /// acquired while held (see DESIGN.md, "Lock ordering").
-    bindings: Mutex<HashMap<u64, usize>>,
+    bindings: KernelMutex<HashMap<u64, usize>>,
     next_bind: AtomicUsize,
     stats: Arc<VmStatsAtomic>,
     trace: Arc<TraceSink>,
-    locks: Arc<LockStats>,
     pager_timeout: Duration,
 }
 
@@ -129,7 +128,6 @@ impl PagerFleet {
         opts: FleetOptions,
         stats: Arc<VmStatsAtomic>,
         trace: Arc<TraceSink>,
-        locks: Arc<LockStats>,
         pager_timeout: Duration,
     ) -> Arc<PagerFleet> {
         let n = opts.pagers.max(1);
@@ -162,11 +160,10 @@ impl PagerFleet {
             machine: Arc::clone(machine),
             services,
             store,
-            bindings: Mutex::new(HashMap::new()),
+            bindings: KernelMutex::new(LockSite::FleetBindings, HashMap::new()),
             next_bind: AtomicUsize::new(0),
             stats,
             trace,
-            locks,
             pager_timeout,
         })
     }
@@ -233,10 +230,7 @@ impl PagerFleet {
     /// Which service `object_id` is currently bound to, if any. Test and
     /// gauge introspection; does not create a binding.
     pub fn binding(&self, object_id: u64) -> Option<usize> {
-        self.locks
-            .lock(LockSite::FleetBindings, &self.bindings)
-            .get(&object_id)
-            .copied()
+        self.bindings.lock().get(&object_id).copied()
     }
 
     /// Kill service `idx`: the thread exits, its port dies, and every
@@ -258,7 +252,7 @@ impl PagerFleet {
             let _ = h.join(); // bounded: the loop polls every 10 ms
         }
         // Eager sweep: re-home everything the dead service was serving.
-        let mut bindings = self.locks.lock(LockSite::FleetBindings, &self.bindings);
+        let mut bindings = self.bindings.lock();
         let orphans: Vec<u64> = bindings
             .iter()
             .filter(|&(_, &s)| s == idx)
@@ -344,7 +338,7 @@ impl PagerFleet {
     /// else bind/re-bind to a live service. A re-bind of a dead binding
     /// is counted; a first bind is not.
     fn binding_for(&self, object_id: u64) -> Option<usize> {
-        let mut b = self.locks.lock(LockSite::FleetBindings, &self.bindings);
+        let mut b = self.bindings.lock();
         match b.get(&object_id) {
             Some(&i) if !self.services[i].kill.load(Ordering::Acquire) => Some(i),
             Some(_dead) => {
@@ -707,9 +701,7 @@ impl Pager for FleetClient {
             // No live service to do it: reclaim the backing store here.
             f.store.lock().retain(|&(oid, _), _| oid != object_id);
         }
-        f.locks
-            .lock(LockSite::FleetBindings, &f.bindings)
-            .remove(&object_id);
+        f.bindings.lock().remove(&object_id);
     }
 
     fn port_id(&self, object_id: u64) -> u64 {
@@ -738,7 +730,6 @@ mod tests {
             },
             Arc::new(VmStatsAtomic::default()),
             trace,
-            Arc::new(LockStats::new()),
             Duration::from_secs(5),
         )
     }
@@ -799,7 +790,6 @@ mod tests {
             },
             Arc::clone(&stats),
             Arc::new(TraceSink::new(machine.n_cpus())),
-            Arc::new(LockStats::new()),
             Duration::from_secs(5),
         );
         let client = f.client();
@@ -861,7 +851,6 @@ mod tests {
             },
             Arc::clone(&stats),
             Arc::new(TraceSink::new(machine.n_cpus())),
-            Arc::new(LockStats::new()),
             Duration::from_secs(5),
         );
         let probe = f.burst_probe(0, 10);
@@ -896,7 +885,6 @@ mod tests {
             },
             Arc::new(VmStatsAtomic::default()),
             Arc::clone(&trace),
-            Arc::new(LockStats::new()),
             Duration::from_secs(5),
         );
         let client = f.client();

@@ -109,19 +109,22 @@ impl Kernel {
     ///
     /// Panics if `page_multiple` is not a power of two.
     pub fn boot_with(machine: &Arc<Machine>, opts: BootOptions) -> Arc<Kernel> {
+        Kernel::boot_inner(machine, opts, None)
+    }
+
+    /// The one boot path. The default pager is a paging file on
+    /// `paging_fs` when one is given, else the pager fleet when
+    /// `opts.pager_fleet` asks for it, else the in-memory pager.
+    fn boot_inner(
+        machine: &Arc<Machine>,
+        opts: BootOptions,
+        paging_fs: Option<&Arc<SimFs>>,
+    ) -> Arc<Kernel> {
         assert!(opts.page_multiple.is_power_of_two());
         let machdep = mach_pmap::machdep_for(machine);
         let hw = machine.hw_page_size();
         let page_size = hw * opts.page_multiple;
-        // One lock observatory per kernel, shared by every instrumented
-        // structure (resident table, object cache, fleet) — parallel
-        // kernels in one process never cross-pollute counters.
-        let locks = Arc::new(crate::lockstat::LockStats::new());
-        let resident = Arc::new(ResidentTable::with_cpus_locks(
-            page_size,
-            machine.n_cpus(),
-            Arc::clone(&locks),
-        ));
+        let resident = Arc::new(ResidentTable::with_cpus(page_size, machine.n_cpus()));
 
         // Claim physical memory, leaving a reserve for hardware tables.
         let mut drained = machine.frames().drain();
@@ -164,28 +167,34 @@ impl Kernel {
         let (default_pager, fleet): (
             Arc<dyn crate::pager::Pager>,
             Option<Arc<crate::fleet::PagerFleet>>,
-        ) = match &opts.pager_fleet {
-            Some(fo) => {
+        ) = match (paging_fs, &opts.pager_fleet) {
+            (Some(fs), _) => {
+                let pager =
+                    DefaultPager::on_fs(machine, fs, page_size).expect("create paging file");
+                // Hooked after the file is created, so creating it draws
+                // nothing from a chaos plan.
+                if injector.is_enabled() {
+                    install_device_faults(&injector, fs.device());
+                }
+                (pager, None)
+            }
+            (None, Some(fo)) => {
                 let fleet = crate::fleet::PagerFleet::spawn(
                     machine,
                     fo.clone(),
                     Arc::clone(&stats),
                     Arc::clone(&trace),
-                    Arc::clone(&locks),
                     opts.pager_timeout,
                 );
                 (fleet.client(), Some(fleet))
             }
-            None => (DefaultPager::new(machine), None),
+            (None, None) => (DefaultPager::new(machine), None),
         };
         let ctx = Arc::new(CoreRefs {
             machine: Arc::clone(machine),
             machdep,
             resident,
-            cache: Arc::new(ObjectCache::new_with_locks(
-                opts.object_cache_capacity,
-                Arc::clone(&locks),
-            )),
+            cache: Arc::new(ObjectCache::new(opts.object_cache_capacity)),
             stats,
             default_pager,
             page_size,
@@ -193,7 +202,6 @@ impl Kernel {
             map_indexed: std::sync::atomic::AtomicBool::new(true),
             pager_timeout: opts.pager_timeout,
             trace,
-            locks,
             injector,
             profile: Arc::new(Profiler::new(machine.n_cpus())),
             health: Arc::new(HealthSink::new()),
@@ -368,27 +376,22 @@ impl Kernel {
         self.ctx.profile.report()
     }
 
-    /// The kernel's lock-contention observatory (see [`crate::lockstat`]
-    /// and `docs/METRICS.md`).
-    pub fn lock_stats(&self) -> &Arc<crate::lockstat::LockStats> {
-        &self.ctx.locks
-    }
-
-    /// Start counting lock acquisitions, contention and wait/hold times
-    /// on the sharded-layer sites. (The debug-build lock-order checker is
-    /// always on, independent of this gate.)
+    /// Start counting kernel-lock acquisitions, contention and waits on
+    /// this kernel's machine, from the threads bound to its CPUs (see
+    /// [`mach_hw::lock`] and `docs/METRICS.md`). The debug-build
+    /// lock-order checker is always on, independent of this gate.
     pub fn enable_lock_stats(&self) {
-        self.ctx.locks.enable();
+        self.ctx.machine.locks.enable();
     }
 
     /// Stop counting lock statistics (counters remain readable).
     pub fn disable_lock_stats(&self) {
-        self.ctx.locks.disable();
+        self.ctx.machine.locks.disable();
     }
 
     /// Snapshot the per-site lock counters, in hierarchy-rank order.
-    pub fn lock_report(&self) -> Vec<crate::lockstat::LockSiteReport> {
-        self.ctx.locks.report()
+    pub fn lock_report(&self) -> Vec<mach_hw::lock::LockSiteReport> {
+        self.ctx.machine.locks.report()
     }
 
     /// The kernel's structure-health sink.
@@ -478,47 +481,7 @@ impl Kernel {
         fs: &Arc<SimFs>,
         opts: BootOptions,
     ) -> Arc<Kernel> {
-        let kernel = Kernel::boot_with(machine, opts);
-        // Rebuild the context with an fs-backed default pager: done at
-        // boot time before any task exists, so the swap is safe.
-        let pager =
-            DefaultPager::on_fs(machine, fs, kernel.ctx().page_size).expect("create paging file");
-        let old = Arc::clone(&kernel.ctx);
-        if old.injector.is_enabled() {
-            install_device_faults(&old.injector, fs.device());
-        }
-        let ctx = Arc::new(CoreRefs {
-            machine: Arc::clone(&old.machine),
-            machdep: Arc::clone(&old.machdep),
-            resident: Arc::clone(&old.resident),
-            cache: Arc::clone(&old.cache),
-            stats: Arc::clone(&old.stats),
-            default_pager: pager,
-            page_size: old.page_size,
-            collapse_enabled: std::sync::atomic::AtomicBool::new(true),
-            map_indexed: std::sync::atomic::AtomicBool::new(
-                old.map_indexed.load(std::sync::atomic::Ordering::Relaxed),
-            ),
-            pager_timeout: old.pager_timeout,
-            // Shared with the first boot's context so the shootdown
-            // observer installed there keeps feeding the same sink, one
-            // injector drives one deterministic draw sequence, and the
-            // shootdown span hook keeps feeding the same profiler.
-            trace: Arc::clone(&old.trace),
-            locks: Arc::clone(&old.locks),
-            injector: Arc::clone(&old.injector),
-            profile: Arc::clone(&old.profile),
-            health: Arc::clone(&old.health),
-            ops: Arc::clone(&old.ops),
-        });
-        Arc::new(Kernel {
-            ctx,
-            free_target: kernel.free_target,
-            // The fs-backed pager replaces the fleet client wholesale;
-            // any fleet from the first boot is dropped (its services
-            // exit) rather than left idling with no traffic.
-            fleet: None,
-        })
+        Kernel::boot_inner(machine, opts, Some(fs))
     }
 
     // ------------------------------------------------------------------

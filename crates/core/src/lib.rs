@@ -55,7 +55,6 @@ pub mod fleet;
 pub mod health;
 pub mod inject;
 pub mod kernel;
-pub mod lockstat;
 pub mod map;
 pub mod msg;
 pub mod netmsg;
@@ -77,7 +76,7 @@ pub use fleet::{BurstProbe, FleetOptions, PagerFleet};
 pub use health::{GaugeStats, HealthReport, HealthSink, QueueSample};
 pub use inject::{InjectKind, InjectPlan, InjectedEvent, Injector};
 pub use kernel::{BootOptions, Kernel};
-pub use lockstat::{LockSite, LockSiteReport, LockStats};
+pub use mach_hw::lock::{LockSite, LockSiteReport, LockStats};
 pub use map::{RegionInfo, VmMap};
 pub use msg::RegionTicket;
 pub use object::VmObject;

@@ -51,9 +51,8 @@ use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use mach_hw::machine::lock_quiescent;
+use mach_hw::lock::{KernelGuard, KernelMutex, LockSite};
 use mach_pmap::Pmap;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::ctx::CoreRefs;
 use crate::object::{self, VmObject};
@@ -450,7 +449,7 @@ pub struct VmMap {
     pmap: Option<Arc<dyn Pmap>>,
     lo: u64,
     hi: u64,
-    inner: Mutex<MapInner>,
+    inner: KernelMutex<MapInner>,
     /// Back reference for teardown: dropping a map releases its entries'
     /// object references (task exit, last un-share).
     ctx: std::sync::Weak<CoreRefs>,
@@ -466,7 +465,7 @@ impl VmMap {
             pmap: Some(pmap),
             lo,
             hi,
-            inner: Mutex::new(MapInner::default()),
+            inner: KernelMutex::new(LockSite::VmMap, MapInner::default()),
             ctx: Arc::downgrade(ctx),
             owner: std::sync::atomic::AtomicU64::new(0),
         })
@@ -478,17 +477,15 @@ impl VmMap {
             pmap: None,
             lo: 0,
             hi: size,
-            inner: Mutex::new(MapInner::default()),
+            inner: KernelMutex::new(LockSite::VmMap, MapInner::default()),
             ctx: ctx.clone(),
             owner: std::sync::atomic::AtomicU64::new(0),
         })
     }
 
-    /// Lock the entries. A holder may wait on an object lock whose holder
-    /// waits on a shootdown, so a contended acquisition waits quiescent
-    /// ([`lock_quiescent`]).
-    fn lock(&self) -> MutexGuard<'_, MapInner> {
-        lock_quiescent(&self.inner)
+    /// Lock the entries.
+    fn lock(&self) -> KernelGuard<'_, MapInner> {
+        self.inner.lock()
     }
 
     /// The owning task's id (0 = kernel / sharing map).
@@ -1096,7 +1093,6 @@ mod tests {
             map_indexed: std::sync::atomic::AtomicBool::new(true),
             pager_timeout: std::time::Duration::from_secs(5),
             trace,
-            locks: Arc::new(crate::lockstat::LockStats::new()),
             injector: crate::inject::Injector::disabled(),
             profile: Arc::new(crate::profile::Profiler::new(1)),
             health: Arc::new(crate::health::HealthSink::new()),

@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mach_hw::machine::lock_quiescent;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use mach_hw::lock::{KernelGuard, KernelMutex, LockSite};
+use parking_lot::Condvar;
 
 use crate::ctx::CoreRefs;
 use crate::page::PageId;
@@ -75,7 +75,7 @@ pub struct ObjState {
 #[derive(Debug)]
 pub struct VmObject {
     id: u64,
-    state: Mutex<ObjState>,
+    state: KernelMutex<ObjState>,
     /// Wakes waiters for busy pages of this object.
     pub(crate) busy_wakeup: Condvar,
 }
@@ -85,22 +85,25 @@ impl VmObject {
     pub fn new_internal(size: u64) -> Arc<VmObject> {
         Arc::new(VmObject {
             id: NEXT_OBJECT_ID.fetch_add(1, Ordering::Relaxed),
-            state: Mutex::new(ObjState {
-                size,
-                ref_count: 1,
-                resident: BTreeMap::new(),
-                shadow: None,
-                shadow_offset: 0,
-                shadow_count: 0,
-                pager: None,
-                internal: true,
-                can_persist: false,
-                terminated: false,
-                paging_in_progress: 0,
-                pager_readonly: false,
-                locks: HashMap::new(),
-                pager_dead: false,
-            }),
+            state: KernelMutex::new(
+                LockSite::VmObject,
+                ObjState {
+                    size,
+                    ref_count: 1,
+                    resident: BTreeMap::new(),
+                    shadow: None,
+                    shadow_offset: 0,
+                    shadow_count: 0,
+                    pager: None,
+                    internal: true,
+                    can_persist: false,
+                    terminated: false,
+                    paging_in_progress: 0,
+                    pager_readonly: false,
+                    locks: HashMap::new(),
+                    pager_dead: false,
+                },
+            ),
             busy_wakeup: Condvar::new(),
         })
     }
@@ -140,17 +143,15 @@ impl VmObject {
         self.id
     }
 
-    /// Lock the object state. A holder may shoot down (pageout under an
-    /// immediate policy) or wait on a CPU that does, so a contended
-    /// acquisition waits quiescent ([`lock_quiescent`]).
-    pub fn lock(&self) -> MutexGuard<'_, ObjState> {
-        lock_quiescent(&self.state)
+    /// Lock the object state.
+    pub fn lock(&self) -> KernelGuard<'_, ObjState> {
+        self.state.lock()
     }
 
     /// Try to lock the object state without blocking (the paging daemon
     /// skips contended objects rather than deadlocking — the "complex
     /// object locking rules" of paper §3.5).
-    pub fn try_lock_state(&self) -> Option<MutexGuard<'_, ObjState>> {
+    pub fn try_lock_state(&self) -> Option<KernelGuard<'_, ObjState>> {
         self.state.try_lock()
     }
 
@@ -511,12 +512,9 @@ pub const CACHE_SHARDS: usize = 8;
 #[derive(Debug)]
 pub struct ObjectCache {
     capacity: usize,
-    shards: Vec<Mutex<CacheShard>>,
+    shards: Vec<KernelMutex<CacheShard>>,
     stamp: AtomicU64,
     parked: AtomicU64,
-    /// The kernel's lock observatory (shard acquisitions below cost one
-    /// relaxed load while it is disabled).
-    locks: std::sync::Arc<crate::lockstat::LockStats>,
 }
 
 #[derive(Debug, Default)]
@@ -532,29 +530,14 @@ struct CacheShard {
 impl ObjectCache {
     /// A cache retaining up to `capacity` unreferenced objects.
     pub fn new(capacity: usize) -> ObjectCache {
-        ObjectCache::new_with_locks(
-            capacity,
-            std::sync::Arc::new(crate::lockstat::LockStats::new()),
-        )
-    }
-
-    /// A cache sharing the kernel's lock observatory.
-    pub fn new_with_locks(
-        capacity: usize,
-        locks: std::sync::Arc<crate::lockstat::LockStats>,
-    ) -> ObjectCache {
         ObjectCache {
             capacity,
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
+            shards: (0..CACHE_SHARDS)
+                .map(|_| KernelMutex::new(LockSite::ObjectCacheShard, CacheShard::default()))
+                .collect(),
             stamp: AtomicU64::new(1),
             parked: AtomicU64::new(0),
-            locks,
         }
-    }
-
-    fn shard_lock(&self, i: usize) -> crate::lockstat::TrackedGuard<'_, CacheShard> {
-        self.locks
-            .lock(crate::lockstat::LockSite::ObjectCacheShard, &self.shards[i])
     }
 
     fn shard(&self, ident: &PagerIdent) -> usize {
@@ -597,7 +580,7 @@ impl ObjectCache {
         let stamp = self.stamp.fetch_add(1, Ordering::Relaxed);
         {
             let shard = self.shard(&ident);
-            let mut g = self.shard_lock(shard);
+            let mut g = self.shards[shard].lock();
             let s = obj.lock();
             if s.ref_count > 0 || s.terminated {
                 return; // revived (or died) while we were parking it
@@ -617,7 +600,7 @@ impl ObjectCache {
     /// Revive the cached object for `ident`, if present (the cheap-reuse
     /// path: a cache hit costs a hash lookup, not a disk).
     pub fn take(&self, ident: &PagerIdent) -> Option<Arc<VmObject>> {
-        let mut g = self.shard_lock(self.shard(ident));
+        let mut g = self.shards[self.shard(ident)].lock();
         let (_stamp, o) = g.map.remove(ident)?;
         self.parked.fetch_sub(1, Ordering::Relaxed);
         // Reference under the shard lock: every park/revive transition
@@ -636,7 +619,7 @@ impl ObjectCache {
     /// hold for their `ref_count == 0` decisions — so a revival and a
     /// park/reap of the same object are strictly ordered.
     pub fn lookup(&self, ident: &PagerIdent) -> Option<Arc<VmObject>> {
-        let mut g = self.shard_lock(self.shard(ident));
+        let mut g = self.shards[self.shard(ident)].lock();
         if let Some((_stamp, o)) = g.map.remove(ident) {
             self.parked.fetch_sub(1, Ordering::Relaxed);
             o.lock().ref_count += 1;
@@ -662,7 +645,8 @@ impl ObjectCache {
     /// Register a freshly created pager-backed object as live.
     pub fn register_live(&self, ident: PagerIdent, obj: &Arc<VmObject>) {
         let shard = self.shard(&ident);
-        self.shard_lock(shard)
+        self.shards[shard]
+            .lock()
             .live
             .insert(ident, Arc::downgrade(obj));
     }
@@ -670,7 +654,7 @@ impl ObjectCache {
     /// Forget a terminated object's live registration (only if it still
     /// names this object).
     pub fn unregister_live(&self, ident: &PagerIdent, obj: &VmObject) {
-        let mut g = self.shard_lock(self.shard(ident));
+        let mut g = self.shards[self.shard(ident)].lock();
         if let Some(w) = g.live.get(ident) {
             let same = w
                 .upgrade()
@@ -695,8 +679,8 @@ impl ObjectCache {
     /// hand out an object the reaper is tearing down.
     pub fn reap_one(&self, ctx: &CoreRefs) -> bool {
         let mut best: Option<(u64, usize, PagerIdent)> = None;
-        for (i, _shard) in self.shards.iter().enumerate() {
-            let g = self.shard_lock(i);
+        for (i, shard) in self.shards.iter().enumerate() {
+            let g = shard.lock();
             for (ident, (stamp, _)) in &g.map {
                 if best.as_ref().is_none_or(|(s, _, _)| stamp < s) {
                     best = Some((*stamp, i, ident.clone()));
@@ -707,7 +691,7 @@ impl ObjectCache {
             return false;
         };
         let victim = {
-            let mut g = self.shard_lock(shard);
+            let mut g = self.shards[shard].lock();
             match g.map.get(&ident) {
                 Some((s, _)) if *s == stamp => {
                     let (_, o) = g.map.remove(&ident).expect("present");

@@ -43,12 +43,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Weak;
 
 use mach_hw::addr::PAddr;
-use parking_lot::Mutex;
+use mach_hw::lock::{KernelMutex, LockSite};
 
-use crate::lockstat::{LockSite, LockStats};
 use crate::object::VmObject;
 
 /// Page-state/queue shard count (power of two).
@@ -160,21 +159,18 @@ fn mix(x: u64) -> u64 {
 pub struct ResidentTable {
     page_size: u64,
     /// Page state + queue segments, sharded by page id.
-    shards: Vec<Mutex<RtShard>>,
+    shards: Vec<KernelMutex<RtShard>>,
     tallies: Vec<ShardTally>,
     /// (object, offset) → page id, sharded by key hash.
-    hash: Vec<Mutex<HashMap<(u64, u64), u64>>>,
+    hash: Vec<KernelMutex<HashMap<(u64, u64), u64>>>,
     /// Global free reserve (boot donations land here).
-    reserve: Mutex<Vec<u64>>,
+    reserve: KernelMutex<Vec<u64>>,
     /// Per-CPU free stacks, indexed by [`mach_hw::machine::bound_cpu`]
     /// modulo the slot count.
-    locals: Vec<Mutex<Vec<u64>>>,
+    locals: Vec<KernelMutex<Vec<u64>>>,
     free_len: AtomicU64,
     lookups: AtomicU64,
     hits: AtomicU64,
-    /// The kernel's lock observatory; every shard/free-list acquisition
-    /// below goes through it (one relaxed load when disabled).
-    locks: Arc<LockStats>,
 }
 
 impl ResidentTable {
@@ -194,27 +190,22 @@ impl ResidentTable {
     ///
     /// Panics if `page_size` is not a power of two.
     pub fn with_cpus(page_size: u64, cpus: usize) -> ResidentTable {
-        ResidentTable::with_cpus_locks(page_size, cpus, Arc::new(LockStats::new()))
-    }
-
-    /// An empty table sharing the kernel's lock observatory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `page_size` is not a power of two.
-    pub fn with_cpus_locks(page_size: u64, cpus: usize, locks: Arc<LockStats>) -> ResidentTable {
         assert!(page_size.is_power_of_two());
+        fn locks<T: Default>(n: usize, site: LockSite) -> Vec<KernelMutex<T>> {
+            (0..n)
+                .map(|_| KernelMutex::new(site, T::default()))
+                .collect()
+        }
         ResidentTable {
             page_size,
-            shards: (0..QUEUE_SHARDS).map(|_| Mutex::default()).collect(),
+            shards: locks(QUEUE_SHARDS, LockSite::PageQueueShard),
             tallies: (0..QUEUE_SHARDS).map(|_| ShardTally::default()).collect(),
-            hash: (0..HASH_SHARDS).map(|_| Mutex::default()).collect(),
-            reserve: Mutex::new(Vec::new()),
-            locals: (0..cpus.max(1)).map(|_| Mutex::default()).collect(),
+            hash: locks(HASH_SHARDS, LockSite::PageHashShard),
+            reserve: KernelMutex::new(LockSite::FreeReserve, Vec::new()),
+            locals: locks(cpus.max(1), LockSite::FreeLocal),
             free_len: AtomicU64::new(0),
             lookups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
-            locks,
         }
     }
 
@@ -246,9 +237,7 @@ impl ResidentTable {
     /// Donate a physical page (by id) to the free pool at boot.
     pub fn donate(&self, id: PageId) {
         {
-            let mut g = self
-                .locks
-                .lock(LockSite::PageQueueShard, &self.shards[self.qs(id.0)]);
+            let mut g = self.shards[self.qs(id.0)].lock();
             let prev = g.pages.insert(
                 id.0,
                 PageInfo {
@@ -262,9 +251,7 @@ impl ResidentTable {
             );
             assert!(prev.is_none(), "page {id:?} donated twice");
         }
-        self.locks
-            .lock(LockSite::FreeReserve, &self.reserve)
-            .push(id.0);
+        self.reserve.lock().push(id.0);
         self.free_len.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -296,25 +283,19 @@ impl ResidentTable {
     /// reserve, then stealing from other CPUs' stacks.
     fn take_free(&self) -> Option<u64> {
         let slot = self.slot();
-        if let Some(id) = self
-            .locks
-            .lock(LockSite::FreeLocal, &self.locals[slot])
-            .pop()
-        {
+        if let Some(id) = self.locals[slot].lock().pop() {
             self.free_len.fetch_sub(1, Ordering::Relaxed);
             return Some(id);
         }
         let mut batch = {
-            let mut r = self.locks.lock(LockSite::FreeReserve, &self.reserve);
+            let mut r = self.reserve.lock();
             let take = REFILL_BATCH.min(r.len());
             let at = r.len() - take;
             r.split_off(at)
         };
         if let Some(id) = batch.pop() {
             if !batch.is_empty() {
-                self.locks
-                    .lock(LockSite::FreeLocal, &self.locals[slot])
-                    .append(&mut batch);
+                self.locals[slot].lock().append(&mut batch);
             }
             self.free_len.fetch_sub(1, Ordering::Relaxed);
             return Some(id);
@@ -322,11 +303,7 @@ impl ResidentTable {
         // Reserve dry: steal from another CPU's stack.
         for i in 1..=self.locals.len() {
             let other = (slot + i) % self.locals.len();
-            if let Some(id) = self
-                .locks
-                .lock(LockSite::FreeLocal, &self.locals[other])
-                .pop()
-            {
+            if let Some(id) = self.locals[other].lock().pop() {
                 self.free_len.fetch_sub(1, Ordering::Relaxed);
                 return Some(id);
             }
@@ -339,7 +316,7 @@ impl ResidentTable {
     fn give_free(&self, id: u64) {
         let slot = self.slot();
         let spill = {
-            let mut l = self.locks.lock(LockSite::FreeLocal, &self.locals[slot]);
+            let mut l = self.locals[slot].lock();
             l.push(id);
             if l.len() > LOCAL_FREE_CAP {
                 let keep = l.len() / 2;
@@ -349,9 +326,7 @@ impl ResidentTable {
             }
         };
         if let Some(batch) = spill {
-            self.locks
-                .lock(LockSite::FreeReserve, &self.reserve)
-                .extend(batch);
+            self.reserve.lock().extend(batch);
         }
         self.free_len.fetch_add(1, Ordering::Relaxed);
     }
@@ -367,7 +342,7 @@ impl ResidentTable {
         let id = self.take_free()?;
         let s = self.qs(id);
         {
-            let mut g = self.locks.lock(LockSite::PageQueueShard, &self.shards[s]);
+            let mut g = self.shards[s].lock();
             let info = g.pages.get_mut(&id).expect("free page exists");
             info.queue = PageQueue::Active;
             info.identity = Some(PageIdentity {
@@ -381,10 +356,7 @@ impl ResidentTable {
             g.active.push_back(id);
             self.tallies[s].active.fetch_add(1, Ordering::Relaxed);
         }
-        let mut h = self.locks.lock(
-            LockSite::PageHashShard,
-            &self.hash[self.hs(object_id, offset)],
-        );
+        let mut h = self.hash[self.hs(object_id, offset)].lock();
         debug_assert!(!h.contains_key(&(object_id, offset)));
         h.insert((object_id, offset), id);
         Some(PageId(id))
@@ -394,10 +366,7 @@ impl ResidentTable {
     /// shard lock, no global serialization.
     pub fn lookup(&self, object_id: u64, offset: u64) -> Option<PageId> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let g = self.locks.lock(
-            LockSite::PageHashShard,
-            &self.hash[self.hs(object_id, offset)],
-        );
+        let g = self.hash[self.hs(object_id, offset)].lock();
         let r = g.get(&(object_id, offset)).map(|&id| PageId(id));
         if r.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -411,9 +380,7 @@ impl ResidentTable {
     ///
     /// Panics if the page is unknown.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&mut PageInfo) -> R) -> R {
-        let mut g = self
-            .locks
-            .lock(LockSite::PageQueueShard, &self.shards[self.qs(id.0)]);
+        let mut g = self.shards[self.qs(id.0)].lock();
         f(g.pages.get_mut(&id.0).expect("known page"))
     }
 
@@ -428,7 +395,7 @@ impl ResidentTable {
     /// race the free-list bookkeeping.
     pub fn set_queue(&self, id: PageId, queue: PageQueue) {
         let s = self.qs(id.0);
-        let mut g = self.locks.lock(LockSite::PageQueueShard, &self.shards[s]);
+        let mut g = self.shards[s].lock();
         let info = g.pages.get_mut(&id.0).expect("known page");
         let old = info.queue;
         if old == queue || old == PageQueue::Free {
@@ -469,7 +436,7 @@ impl ResidentTable {
     pub fn free_page(&self, id: PageId) {
         let s = self.qs(id.0);
         let ident = {
-            let mut g = self.locks.lock(LockSite::PageQueueShard, &self.shards[s]);
+            let mut g = self.shards[s].lock();
             let info = g.pages.get_mut(&id.0).expect("known page");
             assert!(info.wire_count == 0, "cannot free a wired page");
             let ident = info.identity.take();
@@ -495,11 +462,8 @@ impl ResidentTable {
             ident
         };
         if let Some(ident) = ident {
-            self.locks
-                .lock(
-                    LockSite::PageHashShard,
-                    &self.hash[self.hs(ident.object_id, ident.offset)],
-                )
+            self.hash[self.hs(ident.object_id, ident.offset)]
+                .lock()
                 .remove(&(ident.object_id, ident.offset));
         }
         self.give_free(id.0);
@@ -513,9 +477,7 @@ impl ResidentTable {
     /// Panics if the page has no identity or the target slot is taken.
     pub fn rekey(&self, id: PageId, new_object_id: u64, new_offset: u64, object: Weak<VmObject>) {
         let old_key = {
-            let mut g = self
-                .locks
-                .lock(LockSite::PageQueueShard, &self.shards[self.qs(id.0)]);
+            let mut g = self.shards[self.qs(id.0)].lock();
             let info = g.pages.get_mut(&id.0).expect("known page");
             let ident = info.identity.as_mut().expect("page has identity");
             let old_key = (ident.object_id, ident.offset);
@@ -524,18 +486,11 @@ impl ResidentTable {
             ident.object = object;
             old_key
         };
-        self.locks
-            .lock(
-                LockSite::PageHashShard,
-                &self.hash[self.hs(old_key.0, old_key.1)],
-            )
+        self.hash[self.hs(old_key.0, old_key.1)]
+            .lock()
             .remove(&old_key);
-        let prev = self
-            .locks
-            .lock(
-                LockSite::PageHashShard,
-                &self.hash[self.hs(new_object_id, new_offset)],
-            )
+        let prev = self.hash[self.hs(new_object_id, new_offset)]
+            .lock()
             .insert((new_object_id, new_offset), id.0);
         assert!(prev.is_none(), "rekey target already occupied");
     }
@@ -548,17 +503,12 @@ impl ResidentTable {
     /// immediately.
     pub fn clear_identity(&self, id: PageId) {
         let ident = {
-            let mut g = self
-                .locks
-                .lock(LockSite::PageQueueShard, &self.shards[self.qs(id.0)]);
+            let mut g = self.shards[self.qs(id.0)].lock();
             g.pages.get_mut(&id.0).and_then(|info| info.identity.take())
         };
         if let Some(ident) = ident {
-            self.locks
-                .lock(
-                    LockSite::PageHashShard,
-                    &self.hash[self.hs(ident.object_id, ident.offset)],
-                )
+            self.hash[self.hs(ident.object_id, ident.offset)]
+                .lock()
                 .remove(&(ident.object_id, ident.offset));
         }
     }
@@ -569,9 +519,7 @@ impl ResidentTable {
     /// reclaimer) touches it. Balance with [`ResidentTable::release_evict`]
     /// or [`ResidentTable::free_page`].
     pub fn claim_evict(&self, id: PageId) -> bool {
-        let mut g = self
-            .locks
-            .lock(LockSite::PageQueueShard, &self.shards[self.qs(id.0)]);
+        let mut g = self.shards[self.qs(id.0)].lock();
         let Some(info) = g.pages.get_mut(&id.0) else {
             return false;
         };
@@ -584,9 +532,7 @@ impl ResidentTable {
 
     /// Release an eviction claim without freeing the page.
     pub fn release_evict(&self, id: PageId) {
-        let mut g = self
-            .locks
-            .lock(LockSite::PageQueueShard, &self.shards[self.qs(id.0)]);
+        let mut g = self.shards[self.qs(id.0)].lock();
         if let Some(info) = g.pages.get_mut(&id.0) {
             info.busy = false;
         }
@@ -601,9 +547,7 @@ impl ResidentTable {
     /// both think they own the same frame. Balance with
     /// [`ResidentTable::free_page`] or [`ResidentTable::release_evict`].
     pub fn claim_teardown(&self, id: PageId, allow_wired: bool) -> bool {
-        let mut g = self
-            .locks
-            .lock(LockSite::PageQueueShard, &self.shards[self.qs(id.0)]);
+        let mut g = self.shards[self.qs(id.0)].lock();
         let Some(info) = g.pages.get_mut(&id.0) else {
             return false;
         };
@@ -629,10 +573,7 @@ impl ResidentTable {
             if out.len() >= n {
                 break;
             }
-            let g = self.locks.lock(
-                LockSite::PageQueueShard,
-                &self.shards[(start + i) % self.shards.len()],
-            );
+            let g = self.shards[(start + i) % self.shards.len()].lock();
             out.extend(g.inactive.iter().take(n - out.len()).map(|&p| PageId(p)));
         }
         out
@@ -651,10 +592,7 @@ impl ResidentTable {
             if out.len() >= n {
                 break;
             }
-            let g = self.locks.lock(
-                LockSite::PageQueueShard,
-                &self.shards[(start + i) % self.shards.len()],
-            );
+            let g = self.shards[(start + i) % self.shards.len()].lock();
             out.extend(g.active.iter().take(n - out.len()).map(|&p| PageId(p)));
         }
         out
@@ -663,7 +601,7 @@ impl ResidentTable {
     /// Wire a page (pin it against pageout).
     pub fn wire(&self, id: PageId) {
         let s = self.qs(id.0);
-        let mut g = self.locks.lock(LockSite::PageQueueShard, &self.shards[s]);
+        let mut g = self.shards[s].lock();
         let info = g.pages.get_mut(&id.0).expect("known page");
         info.wire_count += 1;
         if info.queue != PageQueue::Wired {
@@ -688,7 +626,7 @@ impl ResidentTable {
     /// Unwire; returns to the active queue when the count reaches zero.
     pub fn unwire(&self, id: PageId) {
         let s = self.qs(id.0);
-        let mut g = self.locks.lock(LockSite::PageQueueShard, &self.shards[s]);
+        let mut g = self.shards[s].lock();
         let info = g.pages.get_mut(&id.0).expect("known page");
         assert!(info.wire_count > 0, "unwire of unwired page");
         info.wire_count -= 1;
@@ -704,7 +642,7 @@ impl ResidentTable {
     pub fn pages_of(&self, object_id: u64) -> Vec<(u64, PageId)> {
         let mut out = Vec::new();
         for shard in &self.hash {
-            let g = self.locks.lock(LockSite::PageHashShard, shard);
+            let g = shard.lock();
             out.extend(
                 g.iter()
                     .filter(|((oid, _), _)| *oid == object_id)

@@ -151,8 +151,9 @@ pub enum ArchGlobal {
     /// NS32082: whether the read-modify-write erratum is active.
     Ns32082(ns32082::NsGlobal),
     /// TLB-only machine: the OS-owned software translation store the
-    /// firmware miss handler refills from.
-    TlbSoft(parking_lot::Mutex<tlbsoft::SoftTables>),
+    /// firmware miss handler refills from. A kernel lock, since the pmap
+    /// port holds it as its tables lock.
+    TlbSoft(crate::lock::KernelMutex<tlbsoft::SoftTables>),
 }
 
 /// Compute the TLB lookup key for `va` under `regs`.
@@ -205,7 +206,7 @@ pub fn walk(
             ns32082::walk(phys, r, va, access)
         }
         (ArchKind::TlbSoft, ArchGlobal::TlbSoft(t), CpuRegs::TlbSoft(r)) => {
-            tlbsoft::walk(&mut t.lock(), r, va, access)
+            tlbsoft::walk(&mut t.lock_for_hardware(), r, va, access)
         }
         _ => panic!("MMU state does not match architecture {kind:?}"),
     }

@@ -38,6 +38,7 @@ pub mod arch;
 pub mod bus;
 pub mod cost;
 pub mod cpu;
+pub mod lock;
 pub mod machine;
 pub mod phys;
 pub mod tlb;

@@ -11,13 +11,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, MutexGuard};
-
 use crate::addr::{Access, Fault, PAddr, VAddr};
 use crate::arch::{self, ArchGlobal, ArchKind};
 use crate::bus::{AckLatch, InterruptBus, Ipi, IpiKind};
 use crate::cost::{Clock, CostModel, DiskModel};
 use crate::cpu::Cpu;
+use crate::lock::{KernelMutex, LockSite, LockStats};
 use crate::phys::{FrameAlloc, PhysMem};
 use crate::tlb::{FlushScope, TlbLookup};
 
@@ -196,29 +195,18 @@ impl MachineModel {
 
 thread_local! {
     static BOUND_CPU: Cell<usize> = const { Cell::new(0) };
-    /// The machine whose CPU `BOUND_CPU` names, for [`lock_quiescent`].
-    static BOUND_MACHINE: RefCell<Weak<Machine>> = const { RefCell::new(Weak::new()) };
+    /// The machine whose CPU `BOUND_CPU` names: kernel locks park that
+    /// CPU and count toward that machine.
+    static BOUND_MACHINE: RefCell<Option<Arc<Machine>>> = const { RefCell::new(None) };
 }
 
-/// Acquire the kernel lock `m` on the calling thread.
-///
-/// Uncontended this is one `try_lock`. Contended, the thread's bound CPU
-/// waits for the lock quiescent ([`Machine::kernel_block`]): the holder
-/// may be a shootdown initiator waiting on this very CPU's
-/// acknowledgement, which a thread asleep on the lock could never send.
-/// Every lock another CPU may hold across a waited shootdown must be
-/// taken through this function. On a thread that owns no CPU it is a
-/// plain `lock`.
-pub fn lock_quiescent<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    if let Some(g) = m.try_lock() {
-        return g;
-    }
-    let machine = BOUND_MACHINE
-        .try_with(|b| b.borrow().upgrade())
+/// Run `f` on the machine whose CPU the calling thread is bound to;
+/// `None` on a thread bound to no CPU.
+pub(crate) fn with_bound_machine<R>(f: impl FnOnce(&Machine) -> R) -> Option<R> {
+    BOUND_MACHINE
+        .try_with(|b| b.borrow().as_deref().map(f))
         .ok()
-        .flatten();
-    let _parked = machine.as_ref().map(|m| m.kernel_block());
-    m.lock()
+        .flatten()
 }
 
 /// The CPU id the calling thread is bound to (0 if it never bound one),
@@ -238,7 +226,7 @@ pub struct CpuBinding<'m> {
     machine: &'m Machine,
     cpu: usize,
     prev: usize,
-    prev_machine: Weak<Machine>,
+    prev_machine: Option<Arc<Machine>>,
     prev_active: bool,
     /// This binding took the CPU's thread-ownership (outermost binding on
     /// this thread); dropping it releases the CPU to other threads.
@@ -257,7 +245,7 @@ impl Drop for CpuBinding<'_> {
             *self.machine.cpus[self.cpu].owner.lock() = None;
         }
         BOUND_CPU.with(|b| b.set(self.prev));
-        BOUND_MACHINE.with(|b| *b.borrow_mut() = std::mem::take(&mut self.prev_machine));
+        BOUND_MACHINE.with(|b| *b.borrow_mut() = self.prev_machine.take());
     }
 }
 
@@ -328,6 +316,9 @@ pub struct Machine {
     global: ArchGlobal,
     /// Cross-CPU statistics.
     pub stats: MachineStats,
+    /// Kernel-lock counters, fed by the threads bound to this machine's
+    /// CPUs (see [`crate::lock`]).
+    pub locks: LockStats,
 }
 
 impl Machine {
@@ -360,9 +351,10 @@ impl Machine {
             }
             ArchKind::Sun3 => ArchGlobal::Sun3(parking_lot::Mutex::new(arch::sun3::Sun3Mmu::new())),
             ArchKind::Ns32082 => ArchGlobal::Ns32082(arch::ns32082::NsGlobal::with_bug()),
-            ArchKind::TlbSoft => {
-                ArchGlobal::TlbSoft(parking_lot::Mutex::new(arch::tlbsoft::SoftTables::default()))
-            }
+            ArchKind::TlbSoft => ArchGlobal::TlbSoft(KernelMutex::new(
+                LockSite::PmapTables,
+                arch::tlbsoft::SoftTables::default(),
+            )),
         };
         let frames = FrameAlloc::new(&phys, hw_page, reserved);
         let cpus = (0..model.n_cpus)
@@ -378,6 +370,7 @@ impl Machine {
             cpus,
             global,
             stats: MachineStats::default(),
+            locks: LockStats::default(),
         })
     }
 
@@ -463,7 +456,7 @@ impl Machine {
             }
         };
         let prev = BOUND_CPU.with(|b| b.replace(id));
-        let prev_machine = BOUND_MACHINE.with(|b| b.replace(self.me.clone()));
+        let prev_machine = BOUND_MACHINE.with(|b| b.replace(self.me.upgrade()));
         let prev_active = self.cpus[prev.min(self.cpus.len() - 1)].is_active();
         self.cpus[id].set_active(true);
         CpuBinding {
@@ -572,10 +565,11 @@ impl Machine {
 
     /// Mark the bound CPU quiescent while it waits in the kernel — on a
     /// busy page, a pager reply, a contended kernel lock
-    /// ([`lock_quiescent`]). The shootdown protocol's rule is that a CPU
-    /// waiting in the kernel is quiescent: while the returned guard
-    /// lives, shootdowns aimed at this CPU flush its TLB directly instead
-    /// of waiting for an acknowledgement a sleeping thread cannot send.
+    /// ([`crate::lock::KernelMutex`]). The shootdown protocol's rule is
+    /// that a CPU waiting in the kernel is quiescent: while the returned
+    /// guard lives, shootdowns aimed at this CPU flush its TLB directly
+    /// instead of waiting for an acknowledgement a sleeping thread cannot
+    /// send.
     /// IPIs already queued when the CPU parks are answered here, so an
     /// initiator that saw this CPU active a moment ago is not left
     /// waiting either.
@@ -687,7 +681,7 @@ impl Machine {
                         panic!(
                             "shootdown from CPU {me} stuck: CPUs {stuck:?} never acknowledged \
                              within {SHOOTDOWN_STUCK:?} — a CPU waiting in the kernel must be \
-                             quiescent (Machine::kernel_block, lock_quiescent)"
+                             quiescent (Machine::kernel_block, KernelMutex::lock)"
                         );
                     }
                     for &t in &stuck {
@@ -1106,35 +1100,5 @@ mod tests {
         });
         assert_eq!(m.stats.shootdown_timeouts.load(Ordering::Relaxed), 0);
         assert_eq!(m.cpu(2).tlb.lock().iter().count(), 0, "CPU 2 flushed");
-    }
-
-    #[test]
-    fn lock_quiescent_parks_only_when_contended() {
-        let m = Machine::boot(MachineModel::vax_11_784());
-        let lock = Mutex::new(0u32);
-        let _b = m.bind_cpu(1);
-        // Uncontended: the CPU stays active.
-        *lock_quiescent(&lock) += 1;
-        assert!(m.cpu(1).is_active());
-        std::thread::scope(|s| {
-            let held = lock.lock();
-            let waiter = s.spawn(|| {
-                let _b = m.bind_cpu(2);
-                *lock_quiescent(&lock) += 1;
-                m.cpu(2).is_active()
-            });
-            // Contended: CPU 2 waits for the lock parked.
-            let t0 = Instant::now();
-            while m.cpu(2).is_active() || m.cpu(2).owner.lock().is_none() {
-                assert!(t0.elapsed() < Duration::from_secs(5), "CPU 2 never parked");
-                std::hint::spin_loop();
-            }
-            drop(held);
-            assert!(
-                waiter.join().unwrap(),
-                "active again once it holds the lock"
-            );
-        });
-        assert_eq!(*lock.lock(), 2);
     }
 }

@@ -19,8 +19,8 @@ use mach_hw::arch::ns32082::{
     l1_entry, pte, pte_prot, L2_ENTRIES, PTE_M, PTE_PFN_MASK, PTE_REF, PTE_V, VA_LIMIT,
 };
 use mach_hw::arch::CpuRegs;
+use mach_hw::lock::{KernelGuard, KernelMutex, LockSite};
 use mach_hw::machine::Machine;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::chassis::{ChassisMachDep, HwTables, PortFactory, PortShared, SlotOld, TlbTag};
 use crate::core::MdCore;
@@ -57,7 +57,7 @@ impl PortFactory for NsFactory {
     fn new_tables(&self, core: &Arc<MdCore>, _id: u64, _shared: &Arc<PortShared>) -> NsTables {
         NsTables {
             core: Arc::clone(core),
-            state: Mutex::new(NsState::default()),
+            state: KernelMutex::new(LockSite::PmapTables, NsState::default()),
         }
     }
 }
@@ -81,7 +81,7 @@ impl ChassisMachDep<NsFactory> {
 #[derive(Debug)]
 pub struct NsTables {
     core: Arc<MdCore>,
-    state: Mutex<NsState>,
+    state: KernelMutex<NsState>,
 }
 
 impl NsTables {
@@ -147,11 +147,11 @@ fn attr_bits(word: u32) -> u8 {
 }
 
 impl HwTables for NsTables {
-    type Guard<'a> = MutexGuard<'a, NsState>;
+    type Guard<'a> = KernelGuard<'a, NsState>;
 
     const PAGE_SIZE: u64 = PAGE;
 
-    fn lock(&self) -> MutexGuard<'_, NsState> {
+    fn lock(&self) -> KernelGuard<'_, NsState> {
         self.state.lock()
     }
 
@@ -164,7 +164,7 @@ impl HwTables for NsTables {
 
     fn insert(
         &self,
-        g: &mut MutexGuard<'_, NsState>,
+        g: &mut KernelGuard<'_, NsState>,
         va: VAddr,
         pfn: Pfn,
         prot: HwProt,
@@ -187,7 +187,7 @@ impl HwTables for NsTables {
         slot
     }
 
-    fn clear(&self, g: &mut MutexGuard<'_, NsState>, va: VAddr) -> Option<(Pfn, u8)> {
+    fn clear(&self, g: &mut KernelGuard<'_, NsState>, va: VAddr) -> Option<(Pfn, u8)> {
         let (pte_pa, old) = self.read_pte(g, va)?;
         self.core
             .machine
@@ -197,7 +197,7 @@ impl HwTables for NsTables {
         Some((Pfn((old & PTE_PFN_MASK) as u64), attr_bits(old)))
     }
 
-    fn reprotect(&self, g: &mut MutexGuard<'_, NsState>, va: VAddr, prot: HwProt) -> Option<bool> {
+    fn reprotect(&self, g: &mut KernelGuard<'_, NsState>, va: VAddr, prot: HwProt) -> Option<bool> {
         let (pte_pa, old) = self.read_pte(g, va)?;
         let frame = Pfn((old & PTE_PFN_MASK) as u64);
         self.core
@@ -208,14 +208,14 @@ impl HwTables for NsTables {
         Some(pte_prot(old).bits() & !prot.bits() != 0)
     }
 
-    fn lookup(&self, g: &MutexGuard<'_, NsState>, va: VAddr) -> Option<Pfn> {
+    fn lookup(&self, g: &KernelGuard<'_, NsState>, va: VAddr) -> Option<Pfn> {
         let (_, word) = self.read_pte(g, va)?;
         Some(Pfn((word & PTE_PFN_MASK) as u64))
     }
 
     fn mr(
         &self,
-        g: &mut MutexGuard<'_, NsState>,
+        g: &mut KernelGuard<'_, NsState>,
         va: VAddr,
         clear_mod: bool,
         clear_ref: bool,
@@ -230,7 +230,7 @@ impl HwTables for NsTables {
         (word & PTE_M != 0, word & PTE_REF != 0)
     }
 
-    fn activate(&self, g: &mut MutexGuard<'_, NsState>, cpu: usize) -> TlbTag {
+    fn activate(&self, g: &mut KernelGuard<'_, NsState>, cpu: usize) -> TlbTag {
         let ptb = self.ensure_l1(g).0 * PAGE;
         self.core
             .machine
@@ -243,7 +243,7 @@ impl HwTables for NsTables {
         TlbTag::Untagged
     }
 
-    fn teardown(&self, g: &mut MutexGuard<'_, NsState>) -> Vec<(VAddr, Pfn, u8)> {
+    fn teardown(&self, g: &mut KernelGuard<'_, NsState>) -> Vec<(VAddr, Pfn, u8)> {
         let machine = &self.core.machine;
         let phys = machine.phys();
         let mut harvested = Vec::new();

@@ -29,8 +29,8 @@ use std::collections::HashMap;
 use std::sync::Weak;
 
 use mach_hw::addr::VAddr;
+use mach_hw::lock::{KernelGuard, KernelMutex, LockSite};
 use mach_hw::Pfn;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::HwMapper;
 
@@ -96,7 +96,7 @@ type Shard = HashMap<u64, PvFrame>;
 /// The physical→virtual table plus stolen attribute bits.
 #[derive(Debug)]
 pub struct PvTable {
-    shards: Box<[Mutex<Shard>]>,
+    shards: Box<[KernelMutex<Shard>]>,
     /// log2 of the hardware frames in one [`STRIPE_BYTES`] stripe.
     stripe_shift: u32,
 }
@@ -105,7 +105,9 @@ impl PvTable {
     /// An empty table for `hw_page_size`-byte frames.
     pub fn new(hw_page_size: u64) -> PvTable {
         PvTable {
-            shards: (0..PV_SHARDS).map(|_| Mutex::default()).collect(),
+            shards: (0..PV_SHARDS)
+                .map(|_| KernelMutex::new(LockSite::PvShard, Shard::default()))
+                .collect(),
             stripe_shift: (STRIPE_BYTES / hw_page_size).max(1).ilog2(),
         }
     }
@@ -115,7 +117,7 @@ impl PvTable {
         (frame.0 >> self.stripe_shift) as usize % PV_SHARDS
     }
 
-    fn shard(&self, frame: Pfn) -> MutexGuard<'_, Shard> {
+    fn shard(&self, frame: Pfn) -> KernelGuard<'_, Shard> {
         self.shards[self.shard_index(frame)].lock()
     }
 
@@ -233,6 +235,7 @@ mod tests {
 
     use mach_hw::addr::HwProt;
     use mach_hw::machine::{Machine, MachineModel};
+    use parking_lot::Mutex;
 
     use super::*;
     use crate::ns32082::NsMachDep;

@@ -25,9 +25,9 @@ use mach_hw::arch::romp::{
     make_tag, RompLayout, RompRegs, F_M, F_READ, F_REF, F_WRITE, NIL, SEGREG_VALID, TAG_VALID,
 };
 use mach_hw::arch::{ArchGlobal, CpuRegs};
+use mach_hw::lock::{KernelGuard, KernelMutex, LockSite};
 use mach_hw::machine::Machine;
 use mach_hw::phys::PhysMem;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::chassis::{
     ChassisMachDep, HwTables, PortFactory, PortShared, QuirkFlush, SlotOld, TlbTag,
@@ -57,7 +57,7 @@ struct RompWorld {
 /// pool and inverted table.
 #[derive(Debug)]
 pub struct RompFactory {
-    world: Arc<Mutex<RompWorld>>,
+    world: Arc<KernelMutex<RompWorld>>,
 }
 
 impl PortFactory for RompFactory {
@@ -95,11 +95,14 @@ impl ChassisMachDep<RompFactory> {
         ChassisMachDep::with_factory(
             machine,
             RompFactory {
-                world: Arc::new(Mutex::new(RompWorld {
-                    segid_next: 0,
-                    segid_free: Vec::new(),
-                    pmaps: HashMap::new(),
-                })),
+                world: Arc::new(KernelMutex::new(
+                    LockSite::PmapTables,
+                    RompWorld {
+                        segid_next: 0,
+                        segid_free: Vec::new(),
+                        pmaps: HashMap::new(),
+                    },
+                )),
             },
         )
     }
@@ -198,13 +201,13 @@ pub struct RompTables {
     id: u64,
     core: Arc<MdCore>,
     shared: Arc<PortShared>,
-    world: Arc<Mutex<RompWorld>>,
+    world: Arc<KernelMutex<RompWorld>>,
     layout: RompLayout,
 }
 
 /// World guard plus the batched alias-eviction flush work.
 pub struct RompGuard<'a> {
-    w: MutexGuard<'a, RompWorld>,
+    w: KernelGuard<'a, RompWorld>,
     evict: QuirkFlush,
 }
 

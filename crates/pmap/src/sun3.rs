@@ -23,9 +23,10 @@ use mach_hw::arch::sun3::{
     Sun3Mmu, Sun3Pte, NO_PMEG, N_CONTEXTS, N_PMEGS, PTES_PER_PMEG, SEGS_PER_CONTEXT,
 };
 use mach_hw::arch::{ArchGlobal, CpuRegs};
-use mach_hw::machine::{lock_quiescent, Machine};
+use mach_hw::lock::{KernelGuard, KernelMutex, LockSite};
+use mach_hw::machine::Machine;
 use mach_hw::tlb::FlushScope;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::chassis::{ChassisMachDep, HwTables, PortFactory, PortShared, SlotOld, TlbTag};
 use crate::core::MdCore;
@@ -74,14 +75,14 @@ impl Sun3World {
 /// and pmeg pools.
 #[derive(Debug)]
 pub struct Sun3Factory {
-    world: Arc<Mutex<Sun3World>>,
+    world: Arc<KernelMutex<Sun3World>>,
 }
 
 impl PortFactory for Sun3Factory {
     type Tables = Sun3Tables;
 
     fn new_tables(&self, core: &Arc<MdCore>, id: u64, shared: &Arc<PortShared>) -> Sun3Tables {
-        lock_quiescent(&self.world).pmaps.insert(
+        self.world.lock().pmaps.insert(
             id,
             Sun3Sw {
                 context: None,
@@ -112,7 +113,7 @@ impl ChassisMachDep<Sun3Factory> {
         ChassisMachDep::with_factory(
             machine,
             Sun3Factory {
-                world: Arc::new(Mutex::new(Sun3World::new())),
+                world: Arc::new(KernelMutex::new(LockSite::PmapTables, Sun3World::new())),
             },
         )
     }
@@ -132,7 +133,7 @@ fn seg_idx(va: VAddr) -> (usize, usize) {
 pub struct Sun3Tables {
     id: u64,
     core: Arc<MdCore>,
-    world: Arc<Mutex<Sun3World>>,
+    world: Arc<KernelMutex<Sun3World>>,
 }
 
 impl Sun3Tables {
@@ -310,14 +311,14 @@ impl Sun3Tables {
 }
 
 impl HwTables for Sun3Tables {
-    type Guard<'a> = MutexGuard<'a, Sun3World>;
+    type Guard<'a> = KernelGuard<'a, Sun3World>;
 
     const PAGE_SIZE: u64 = PAGE;
 
     /// Context and pmeg steals shoot down while holding the world, so a
     /// CPU that has to wait for it waits quiescent.
-    fn lock(&self) -> MutexGuard<'_, Sun3World> {
-        lock_quiescent(&self.world)
+    fn lock(&self) -> KernelGuard<'_, Sun3World> {
+        self.world.lock()
     }
 
     fn check_range(&self, va: VAddr, size: u64) {
@@ -327,14 +328,14 @@ impl HwTables for Sun3Tables {
         );
     }
 
-    fn prepare_enter(&self, g: &mut MutexGuard<'_, Sun3World>, _va: VAddr, _size: u64) {
+    fn prepare_enter(&self, g: &mut KernelGuard<'_, Sun3World>, _va: VAddr, _size: u64) {
         // Mappings are entered under a hardware context.
         self.ensure_context(g);
     }
 
     fn insert(
         &self,
-        g: &mut MutexGuard<'_, Sun3World>,
+        g: &mut KernelGuard<'_, Sun3World>,
         va: VAddr,
         pfn: Pfn,
         prot: HwProt,
@@ -372,7 +373,7 @@ impl HwTables for Sun3Tables {
         slot
     }
 
-    fn clear(&self, g: &mut MutexGuard<'_, Sun3World>, va: VAddr) -> Option<(Pfn, u8)> {
+    fn clear(&self, g: &mut KernelGuard<'_, Sun3World>, va: VAddr) -> Option<(Pfn, u8)> {
         let (seg, idx) = seg_idx(va);
         g.pmaps
             .get_mut(&self.id)
@@ -391,7 +392,7 @@ impl HwTables for Sun3Tables {
 
     fn reprotect(
         &self,
-        g: &mut MutexGuard<'_, Sun3World>,
+        g: &mut KernelGuard<'_, Sun3World>,
         va: VAddr,
         prot: HwProt,
     ) -> Option<bool> {
@@ -407,7 +408,7 @@ impl HwTables for Sun3Tables {
         Some(was_write && !prot.allows_write())
     }
 
-    fn lookup(&self, g: &MutexGuard<'_, Sun3World>, va: VAddr) -> Option<Pfn> {
+    fn lookup(&self, g: &KernelGuard<'_, Sun3World>, va: VAddr) -> Option<Pfn> {
         let (seg, idx) = seg_idx(va);
         let pmeg = self.pmeg_of(g, seg)?;
         let pte = self.mmu().lock().pmegs[pmeg as usize][idx];
@@ -419,7 +420,7 @@ impl HwTables for Sun3Tables {
 
     fn mr(
         &self,
-        g: &mut MutexGuard<'_, Sun3World>,
+        g: &mut KernelGuard<'_, Sun3World>,
         va: VAddr,
         clear_mod: bool,
         clear_ref: bool,
@@ -439,13 +440,13 @@ impl HwTables for Sun3Tables {
         mr
     }
 
-    fn space_vpn(&self, g: &MutexGuard<'_, Sun3World>, va: VAddr) -> Option<(u32, u64)> {
+    fn space_vpn(&self, g: &KernelGuard<'_, Sun3World>, va: VAddr) -> Option<(u32, u64)> {
         // A pmap without a context has nothing in any TLB.
         let ctx = g.pmaps[&self.id].context?;
         Some((ctx as u32, va.0 / PAGE))
     }
 
-    fn activate(&self, g: &mut MutexGuard<'_, Sun3World>, cpu: usize) -> TlbTag {
+    fn activate(&self, g: &mut KernelGuard<'_, Sun3World>, cpu: usize) -> TlbTag {
         let ctx = self.ensure_context(g);
         self.core
             .machine
@@ -455,7 +456,7 @@ impl HwTables for Sun3Tables {
         TlbTag::Tagged
     }
 
-    fn teardown(&self, g: &mut MutexGuard<'_, Sun3World>) -> Vec<(VAddr, Pfn, u8)> {
+    fn teardown(&self, g: &mut KernelGuard<'_, Sun3World>) -> Vec<(VAddr, Pfn, u8)> {
         // Context eviction already strips every pv entry for this pmap
         // (it is the same code a steal runs), so nothing is left to
         // harvest.
@@ -596,7 +597,7 @@ mod tests {
         let machine = Machine::boot(model);
         let core = Arc::new(MdCore::new(&machine));
         let factory = Sun3Factory {
-            world: Arc::new(Mutex::new(Sun3World::new())),
+            world: Arc::new(KernelMutex::new(LockSite::PmapTables, Sun3World::new())),
         };
         let tables: Vec<Sun3Tables> = (0..=N_CONTEXTS as u64)
             .map(|id| factory.new_tables(&core, id, &Arc::new(PortShared::default())))

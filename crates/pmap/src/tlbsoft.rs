@@ -15,8 +15,9 @@ use std::sync::Arc;
 use mach_hw::addr::{HwProt, Pfn, VAddr};
 use mach_hw::arch::tlbsoft::{SoftPte, SoftTables, TlbSoftRegs, N_ASIDS, VA_LIMIT};
 use mach_hw::arch::{ArchGlobal, CpuRegs};
+use mach_hw::lock::{KernelGuard, KernelMutex};
 use mach_hw::machine::Machine;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::chassis::{ChassisMachDep, HwTables, PortFactory, PortShared, SlotOld, TlbTag};
 use crate::core::MdCore;
@@ -91,7 +92,7 @@ pub struct TlbSoftTables {
 }
 
 impl TlbSoftTables {
-    fn store(&self) -> &Mutex<SoftTables> {
+    fn store(&self) -> &KernelMutex<SoftTables> {
         match self.core.machine.arch_global() {
             ArchGlobal::TlbSoft(t) => t,
             _ => unreachable!("TLB-only machine carries soft tables"),
@@ -107,11 +108,11 @@ impl Drop for TlbSoftTables {
 }
 
 impl HwTables for TlbSoftTables {
-    type Guard<'a> = MutexGuard<'a, SoftTables>;
+    type Guard<'a> = KernelGuard<'a, SoftTables>;
 
     const PAGE_SIZE: u64 = PAGE;
 
-    fn lock(&self) -> MutexGuard<'_, SoftTables> {
+    fn lock(&self) -> KernelGuard<'_, SoftTables> {
         self.store().lock()
     }
 
@@ -121,7 +122,7 @@ impl HwTables for TlbSoftTables {
 
     fn insert(
         &self,
-        g: &mut MutexGuard<'_, SoftTables>,
+        g: &mut KernelGuard<'_, SoftTables>,
         va: VAddr,
         pfn: Pfn,
         prot: HwProt,
@@ -148,14 +149,14 @@ impl HwTables for TlbSoftTables {
         }
     }
 
-    fn clear(&self, g: &mut MutexGuard<'_, SoftTables>, va: VAddr) -> Option<(Pfn, u8)> {
+    fn clear(&self, g: &mut KernelGuard<'_, SoftTables>, va: VAddr) -> Option<(Pfn, u8)> {
         let old = g.map.remove(&(self.asid, va.0 / PAGE))?;
         Some((old.pfn, attr_bits(old.modified, old.referenced)))
     }
 
     fn reprotect(
         &self,
-        g: &mut MutexGuard<'_, SoftTables>,
+        g: &mut KernelGuard<'_, SoftTables>,
         va: VAddr,
         prot: HwProt,
     ) -> Option<bool> {
@@ -165,13 +166,13 @@ impl HwTables for TlbSoftTables {
         Some(narrowing)
     }
 
-    fn lookup(&self, g: &MutexGuard<'_, SoftTables>, va: VAddr) -> Option<Pfn> {
+    fn lookup(&self, g: &KernelGuard<'_, SoftTables>, va: VAddr) -> Option<Pfn> {
         g.map.get(&(self.asid, va.0 / PAGE)).map(|e| e.pfn)
     }
 
     fn mr(
         &self,
-        g: &mut MutexGuard<'_, SoftTables>,
+        g: &mut KernelGuard<'_, SoftTables>,
         va: VAddr,
         clear_mod: bool,
         clear_ref: bool,
@@ -185,11 +186,11 @@ impl HwTables for TlbSoftTables {
         mr
     }
 
-    fn space_vpn(&self, _g: &MutexGuard<'_, SoftTables>, va: VAddr) -> Option<(u32, u64)> {
+    fn space_vpn(&self, _g: &KernelGuard<'_, SoftTables>, va: VAddr) -> Option<(u32, u64)> {
         Some((self.asid, va.0 / PAGE))
     }
 
-    fn activate(&self, _g: &mut MutexGuard<'_, SoftTables>, cpu: usize) -> TlbTag {
+    fn activate(&self, _g: &mut KernelGuard<'_, SoftTables>, cpu: usize) -> TlbTag {
         self.core
             .machine
             .cpu(cpu)
@@ -201,7 +202,7 @@ impl HwTables for TlbSoftTables {
         TlbTag::Tagged
     }
 
-    fn teardown(&self, g: &mut MutexGuard<'_, SoftTables>) -> Vec<(VAddr, Pfn, u8)> {
+    fn teardown(&self, g: &mut KernelGuard<'_, SoftTables>) -> Vec<(VAddr, Pfn, u8)> {
         let mut harvested = Vec::new();
         g.map.retain(|&(asid, vpn), e| {
             if asid == self.asid {

@@ -21,8 +21,8 @@ use mach_hw::arch::vax::{
     decode, pte, pte_prot, Region, VaxRegs, PTE_M, PTE_PFN_MASK, PTE_REF, PTE_V, REGION_PAGES,
 };
 use mach_hw::arch::CpuRegs;
+use mach_hw::lock::{KernelGuard, KernelMutex, LockSite};
 use mach_hw::machine::Machine;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::chassis::{ChassisMachDep, HwTables, PortFactory, PortShared, SlotOld, TlbTag};
 use crate::core::MdCore;
@@ -100,7 +100,7 @@ impl PortFactory for VaxFactory {
         VaxTables {
             core: Arc::clone(core),
             shared: Arc::clone(shared),
-            state: Mutex::new(VaxState::new()),
+            state: KernelMutex::new(LockSite::PmapTables, VaxState::new()),
         }
     }
 }
@@ -125,12 +125,12 @@ impl ChassisMachDep<VaxFactory> {
 pub struct VaxTables {
     core: Arc<MdCore>,
     shared: Arc<PortShared>,
-    state: Mutex<VaxState>,
+    state: KernelMutex<VaxState>,
 }
 
 /// State guard plus a flag for base/length register changes.
 pub struct VaxGuard<'a> {
-    st: MutexGuard<'a, VaxState>,
+    st: KernelGuard<'a, VaxState>,
     grew: bool,
 }
 
