@@ -28,8 +28,8 @@
 //!
 //! Flags: `--ports vax,romp,...` `--cpus 1,4`
 //! `--workloads zero_fill,trace_replay_fork_storm,...` `--out PATH`
-//! `--check BASELINE` (exit 1 if a 1-CPU workload's elapsed_us regressed
-//! more than 20%, any workload's scaling gain fell below half its
+//! `--check BASELINE` (exit 1 if any field of a 1-CPU row differs from
+//! the baseline's, any workload's scaling gain fell below half its
 //! baseline, or a trace-replay row's observables diverge — see
 //! [`check_regressions`]). An unknown port, workload or flag, a CPU
 //! count outside 1..=64, or a baseline that cannot be read and parsed
@@ -70,9 +70,6 @@ const WORKLOADS: [&str; 11] = [
     "trace_replay_fork_storm",
     "trace_replay_chaos_pager",
 ];
-/// Regression gate for `--check`: a 1-CPU elapsed_us may grow by at most
-/// 20%.
-const REGRESSION_FRAC: f64 = 0.20;
 /// Scaling gate for `--check`: a (workload, port, cpus) simulated
 /// throughput gain may fall to no less than half its baseline's
 /// (threaded runs are noisy; half is far outside jitter). A host thread
@@ -915,12 +912,50 @@ fn gate_failure(workload: &str, port: &str, cpus: u64, msg: &str) -> String {
     format!("{workload}/{port}/{cpus} cpus: {msg}")
 }
 
+/// Append to `out` the path of each field where `cur` differs from
+/// `base`, with both values when they are integers. Objects compare
+/// member by member, equal-length arrays element by element, anything
+/// else whole.
+fn differing_fields(cur: &Json, base: &Json, path: &str, out: &mut Vec<String>) {
+    let member = |k: &str| {
+        if path.is_empty() {
+            k.to_string()
+        } else {
+            format!("{path}.{k}")
+        }
+    };
+    match (cur, base) {
+        (Json::Obj(c), Json::Obj(b)) => {
+            for (k, v) in c {
+                match base.get(k) {
+                    Some(w) => differing_fields(v, w, &member(k), out),
+                    None => out.push(member(k)),
+                }
+            }
+            for (k, _) in b.iter().filter(|(k, _)| cur.get(k).is_none()) {
+                out.push(member(k));
+            }
+        }
+        (Json::Arr(c), Json::Arr(b)) if c.len() == b.len() => {
+            for (i, (v, w)) in c.iter().zip(b).enumerate() {
+                differing_fields(v, w, &format!("{path}[{i}]"), out);
+            }
+        }
+        _ if cur != base => out.push(match (cur.as_u64(), base.as_u64()) {
+            (Some(c), Some(b)) => format!("{path} {c} (baseline {b})"),
+            _ => path.to_string(),
+        }),
+        _ => {}
+    }
+}
+
 /// Compare fresh runs against a committed baseline; returns regression
 /// descriptions (empty = pass). Nine gates:
 ///
-/// 1. **1-CPU elapsed**: single-threaded rows are deterministic, so
-///    elapsed_us growing past [`REGRESSION_FRAC`] fails. Multi-CPU rows
-///    race real threads and are exempt from the elapsed gate.
+/// 1. **1-CPU rows repeat**: single-threaded rows are deterministic, so
+///    every field of a 1-CPU row must equal its baseline row's; the
+///    failure names each field that moved. Multi-CPU rows race real
+///    threads and are exempt.
 /// 2. **Scaling**: each (workload, port, cpus) simulated throughput gain
 ///    over its 1-CPU twin must stay at or above [`SCALING_FLOOR_FRAC`] of
 ///    the baseline's gain. It compares simulated time only, so it cannot
@@ -992,16 +1027,16 @@ fn check_regressions(current: &Json, baseline: &Json) -> Vec<String> {
         let (workload, port, cpus) = key(run);
         let mut fail = |msg: String| out.push(gate_failure(workload, port, cpus, &msg));
         let baseline_of = |section| list(baseline, section).iter().find(|b| key(b) == key(run));
-        // Gate 1: multi-CPU rows race real threads, so only 1-CPU rows
-        // answer for elapsed time; the rest are gated on scaling.
+        // Gate 1: a 1-CPU row is deterministic, so it must repeat the
+        // baseline's exactly; multi-CPU rows race real threads and are
+        // gated on scaling instead.
         if let (1, Some(base)) = (cpus, baseline_of("runs")) {
-            let cur_us = field(run, &["elapsed_us"]).unwrap_or(0);
-            let base_us = field(base, &["elapsed_us"]).unwrap_or(0);
-            let limit = (base_us as f64 * (1.0 + REGRESSION_FRAC)).ceil() as u64;
-            if cur_us > limit {
+            let mut moved = Vec::new();
+            differing_fields(run, base, "", &mut moved);
+            if !moved.is_empty() {
                 fail(format!(
-                    "elapsed {cur_us} us > {limit} us (baseline {base_us} us +{:.0}%)",
-                    REGRESSION_FRAC * 100.0
+                    "differs from the baseline row: {}",
+                    moved.join(", ")
                 ));
             }
         }
@@ -1208,20 +1243,32 @@ mod tests {
     }
 
     #[test]
-    fn gate_one_bounds_one_cpu_elapsed_growth() {
+    fn gate_one_holds_one_cpu_rows_to_the_baseline_exactly() {
         let msgs = check(
             r#"{"runs":[
-                {"workload":"zero_fill","port":"vax","cpus":1,"elapsed_us":110},
-                {"workload":"fork_cow","port":"vax","cpus":1,"elapsed_us":130},
+                {"workload":"zero_fill","port":"vax","cpus":1,"elapsed_us":100,
+                 "locks":[{"site":"pv_shard","acquisitions":576}]},
+                {"workload":"fork_cow","port":"vax","cpus":1,"elapsed_us":99,
+                 "locks":[{"site":"pv_shard","acquisitions":587}],"added":0},
+                {"workload":"shootdown_lazy","port":"vax","cpus":1,
+                 "locks":[{"site":"pv_shard"},{"site":"vm_object"}]},
                 {"workload":"fork_cow","port":"vax","cpus":2,"elapsed_us":999}]}"#,
             r#"{"runs":[
-                {"workload":"zero_fill","port":"vax","cpus":1,"elapsed_us":100},
-                {"workload":"fork_cow","port":"vax","cpus":1,"elapsed_us":100},
+                {"workload":"zero_fill","port":"vax","cpus":1,"elapsed_us":100,
+                 "locks":[{"site":"pv_shard","acquisitions":576}]},
+                {"workload":"fork_cow","port":"vax","cpus":1,"elapsed_us":100,
+                 "locks":[{"site":"pv_shard","acquisitions":576}],"dropped":"x"},
+                {"workload":"shootdown_lazy","port":"vax","cpus":1,
+                 "locks":[{"site":"pv_shard"}]},
                 {"workload":"fork_cow","port":"vax","cpus":2,"elapsed_us":100}]}"#,
         );
         assert_eq!(
             msgs,
-            ["fork_cow/vax/1 cpus: elapsed 130 us > 120 us (baseline 100 us +20%)"]
+            [
+                "fork_cow/vax/1 cpus: differs from the baseline row: elapsed_us 99 \
+                 (baseline 100), locks[0].acquisitions 587 (baseline 576), added, dropped",
+                "shootdown_lazy/vax/1 cpus: differs from the baseline row: locks",
+            ]
         );
     }
 

@@ -64,7 +64,10 @@ impl MdCore {
     pub fn new(machine: &Arc<Machine>) -> MdCore {
         MdCore {
             machine: Arc::clone(machine),
-            pv: PvTable::new(machine.hw_page_size()),
+            pv: PvTable::new(
+                machine.hw_page_size(),
+                machine.phys().size() / machine.hw_page_size(),
+            ),
             policy: RwLock::new(ShootdownPolicy::default()),
             counters: Counters::default(),
             deferred: Mutex::new(Vec::new()),

@@ -2,8 +2,14 @@
 //!
 //! `pmap_remove_all(phys)` and `pmap_copy_on_write(phys)` operate on a
 //! physical page and must find every virtual mapping of it. Real pmap
-//! modules kept *pv lists* for this (the RT PC got them for free from its
-//! inverted table); we keep one per hardware frame.
+//! modules kept *pv lists* for this, in an array indexed by page number
+//! (the RT PC got them for free from its inverted table); so does this
+//! table. It holds one record per hardware frame, found by frame number
+//! and never inserted or removed. A record keeps the frame's first
+//! mapping inline; only aliases (further mappings of a mapped frame)
+//! spill into a list, which stays unallocated until a second mapping
+//! arrives. Entering and removing a singly-mapped frame therefore neither
+//! hashes nor allocates.
 //!
 //! The table also accumulates modify/reference *attributes*: when a
 //! mapping is destroyed, its hardware M/R bits would be lost, so they are
@@ -13,23 +19,23 @@
 //! # Concurrency
 //!
 //! Every `pmap_enter` and `pmap_remove` on every CPU passes through this
-//! table, so it is split into [`PV_SHARDS`] shards keyed by frame number.
-//! A shard owns whole [`STRIPE_BYTES`] stripes of physical memory (the
+//! table, so it is split into [`PV_SHARDS`] shards by frame number. A
+//! shard owns whole [`STRIPE_BYTES`] stripes of physical memory (the
 //! default Mach page), so one Mach page's hardware frames share a shard
-//! and consecutive pages land on consecutive shards. Each method locks
-//! its frame's shard once and calls out to nothing while holding it — in
-//! particular it never upgrades a [`PvEntry::mapper`], which could make
-//! it the last owner of a pmap whose destructor re-enters this table. A
-//! pv shard is therefore a leaf below every port's lock
-//! ([`crate::chassis::HwTables::lock`]), and no operation holds two
-//! shards (DESIGN.md §8).
+//! and consecutive pages land on consecutive shards. A shard's records
+//! are its stripes' frames in address order, allocated on the shard's
+//! first write, so booting allocates none. Each method locks its frame's
+//! shard once (a zero-bit [`PvTable::merge_attrs`] locks nothing) and
+//! calls out to nothing while holding it — in particular it never
+//! upgrades a [`PvEntry::mapper`], which could make it the last owner of
+//! a pmap whose destructor re-enters this table. A pv shard is therefore
+//! a leaf below every port's lock ([`crate::chassis::HwTables::lock`]),
+//! and no operation holds two shards (DESIGN.md §8).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Weak;
 
 use mach_hw::addr::VAddr;
-use mach_hw::lock::{KernelGuard, KernelMutex, LockSite};
+use mach_hw::lock::{KernelMutex, LockSite};
 use mach_hw::Pfn;
 
 use crate::HwMapper;
@@ -42,7 +48,7 @@ pub const ATTR_REF: u8 = 2;
 /// Number of pv shards.
 pub const PV_SHARDS: usize = 64;
 
-/// Bytes of physical memory one shard key covers: the default Mach page.
+/// Bytes of physical memory in one shard stripe: the default Mach page.
 pub const STRIPE_BYTES: u64 = 4096;
 
 /// Pack hardware modify/reference bits into attribute bits.
@@ -78,20 +84,53 @@ impl std::fmt::Debug for PvEntry {
     }
 }
 
-/// Everything the table knows about one frame.
+/// Everything the table knows about one frame. Its entries are `first`
+/// and then `aliases`, in arrival order; `aliases` is empty while
+/// `first` is `None`.
 #[derive(Debug, Default)]
 struct PvFrame {
-    entries: Vec<PvEntry>,
+    first: Option<PvEntry>,
+    aliases: Vec<PvEntry>,
     attrs: u8,
 }
 
 impl PvFrame {
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty() && self.attrs == 0
+    fn entries(&self) -> impl Iterator<Item = &PvEntry> {
+        self.first.iter().chain(&self.aliases)
+    }
+
+    fn live(&self) -> impl Iterator<Item = &PvEntry> {
+        self.entries().filter(|e| e.is_live())
+    }
+
+    fn push(&mut self, e: PvEntry) {
+        match self.first {
+            None => self.first = Some(e),
+            Some(_) => self.aliases.push(e),
+        }
+    }
+
+    /// Keep only the entries `keep` accepts, in order.
+    fn retain(&mut self, mut keep: impl FnMut(&PvEntry) -> bool) {
+        self.aliases.retain(&mut keep);
+        if self.first.as_ref().is_some_and(|e| !keep(e)) {
+            self.first = (!self.aliases.is_empty()).then(|| self.aliases.remove(0));
+        }
+    }
+
+    /// Move every entry out, in order.
+    fn take(&mut self) -> Vec<PvEntry> {
+        let mut all = std::mem::take(&mut self.aliases);
+        if let Some(first) = self.first.take() {
+            all.insert(0, first);
+        }
+        all
     }
 }
 
-type Shard = HashMap<u64, PvFrame>;
+/// One shard's records, by local index (see [`PvTable::locate`]); empty
+/// until the shard's first write.
+type Shard = Vec<PvFrame>;
 
 /// The physical→virtual table plus stolen attribute bits.
 #[derive(Debug)]
@@ -99,108 +138,118 @@ pub struct PvTable {
     shards: Box<[KernelMutex<Shard>]>,
     /// log2 of the hardware frames in one [`STRIPE_BYTES`] stripe.
     stripe_shift: u32,
+    /// Records a shard allocates on its first write: its stripes' share
+    /// of the machine's frames.
+    shard_frames: usize,
 }
 
 impl PvTable {
-    /// An empty table for `hw_page_size`-byte frames.
-    pub fn new(hw_page_size: u64) -> PvTable {
+    /// An empty table for a machine of `n_frames` frames of
+    /// `hw_page_size` bytes, every frame its methods take lying below
+    /// `n_frames`. Allocates no records.
+    pub fn new(hw_page_size: u64, n_frames: u64) -> PvTable {
+        let stripe_shift = (STRIPE_BYTES / hw_page_size).max(1).ilog2();
+        let stripes = n_frames.div_ceil(1 << stripe_shift);
         PvTable {
             shards: (0..PV_SHARDS)
-                .map(|_| KernelMutex::new(LockSite::PvShard, Shard::default()))
+                .map(|_| KernelMutex::new(LockSite::PvShard, Shard::new()))
                 .collect(),
-            stripe_shift: (STRIPE_BYTES / hw_page_size).max(1).ilog2(),
+            stripe_shift,
+            shard_frames: (stripes.div_ceil(PV_SHARDS as u64) << stripe_shift) as usize,
         }
     }
 
-    /// The shard holding `frame`'s pv list and attributes.
-    pub(crate) fn shard_index(&self, frame: Pfn) -> usize {
-        (frame.0 >> self.stripe_shift) as usize % PV_SHARDS
+    /// The shard holding `frame`'s record, and the record's index in it:
+    /// stripe `s` is the `s / PV_SHARDS`-th stripe of shard
+    /// `s % PV_SHARDS`.
+    fn locate(&self, frame: Pfn) -> (usize, usize) {
+        let stripe = frame.0 >> self.stripe_shift;
+        let in_stripe = frame.0 & ((1 << self.stripe_shift) - 1);
+        let local = (stripe / PV_SHARDS as u64) << self.stripe_shift | in_stripe;
+        ((stripe % PV_SHARDS as u64) as usize, local as usize)
     }
 
-    fn shard(&self, frame: Pfn) -> KernelGuard<'_, Shard> {
-        self.shards[self.shard_index(frame)].lock()
+    /// Run `f` on `frame`'s record under its shard lock, unless the shard
+    /// has never been written (then every record in it is empty).
+    fn visit<R>(&self, frame: Pfn, f: impl FnOnce(&mut PvFrame) -> R) -> Option<R> {
+        let (shard, local) = self.locate(frame);
+        self.shards[shard].lock().get_mut(local).map(f)
+    }
+
+    /// Run `f` on `frame`'s record under its shard lock, allocating the
+    /// shard's records on its first write.
+    fn update<R>(&self, frame: Pfn, f: impl FnOnce(&mut PvFrame) -> R) -> R {
+        let (shard, local) = self.locate(frame);
+        let mut records = self.shards[shard].lock();
+        if records.is_empty() {
+            records.resize_with(self.shard_frames, PvFrame::default);
+        }
+        f(&mut records[local])
     }
 
     /// Record that `mapper` (identity `mapper_id`) maps `frame` at `va`.
     pub fn add(&self, frame: Pfn, mapper: Weak<dyn HwMapper>, mapper_id: u64, va: VAddr) {
-        let mut s = self.shard(frame);
-        let list = &mut s.entry(frame.0).or_default().entries;
-        // A duplicate (same pmap, same va) is already recorded.
-        if !list.iter().any(|e| e.mapper_id == mapper_id && e.va == va) {
-            list.push(PvEntry {
-                mapper,
-                mapper_id,
-                va,
-            });
-        }
+        self.update(frame, |rec| {
+            // A duplicate (same pmap, same va) is already recorded.
+            if !rec
+                .entries()
+                .any(|e| e.mapper_id == mapper_id && e.va == va)
+            {
+                rec.push(PvEntry {
+                    mapper,
+                    mapper_id,
+                    va,
+                });
+            }
+        });
     }
 
     /// Remove the entry for (`frame`, `mapper_id`, `va`) and OR in
     /// `attrs`, the bits harvested from its dying hardware mapping, in
     /// one visit. Dead entries met on the way are dropped.
     pub fn remove(&self, frame: Pfn, mapper_id: u64, va: VAddr, attrs: u8) {
-        let mut s = self.shard(frame);
-        match s.entry(frame.0) {
-            Entry::Occupied(mut o) => {
-                let rec = o.get_mut();
-                rec.entries
-                    .retain(|e| e.is_live() && !(e.mapper_id == mapper_id && e.va == va));
-                rec.attrs |= attrs;
-                if rec.is_empty() {
-                    o.remove();
+        self.update(frame, |rec| {
+            rec.retain(|e| e.is_live() && !(e.mapper_id == mapper_id && e.va == va));
+            rec.attrs |= attrs;
+        });
+    }
+
+    /// Take (remove and return) every live entry for `frame`; `forget`
+    /// also clears its stolen attribute bits.
+    fn drain(&self, frame: Pfn, forget: bool) -> Vec<PvEntry> {
+        let mut entries = self
+            .visit(frame, |rec| {
+                if forget {
+                    rec.attrs = 0;
                 }
-            }
-            Entry::Vacant(v) => {
-                if attrs != 0 {
-                    v.insert(PvFrame {
-                        entries: Vec::new(),
-                        attrs,
-                    });
-                }
-            }
-        }
+                rec.take()
+            })
+            .unwrap_or_default();
+        entries.retain(PvEntry::is_live);
+        entries
     }
 
     /// Take (remove and return) every live entry for `frame`, keeping its
     /// stolen attribute bits.
     pub fn take(&self, frame: Pfn) -> Vec<PvEntry> {
-        let mut entries = {
-            let mut s = self.shard(frame);
-            let Entry::Occupied(mut o) = s.entry(frame.0) else {
-                return Vec::new();
-            };
-            let entries = std::mem::take(&mut o.get_mut().entries);
-            if o.get().is_empty() {
-                o.remove();
-            }
-            entries
-        };
-        entries.retain(PvEntry::is_live);
-        entries
+        self.drain(frame, false)
     }
 
     /// Take every live entry for `frame` and forget its stolen attribute
     /// bits: the frame's whole record, in one visit.
     pub fn release(&self, frame: Pfn) -> Vec<PvEntry> {
-        let rec = self.shard(frame).remove(&frame.0);
-        let mut entries = rec.map(|r| r.entries).unwrap_or_default();
-        entries.retain(PvEntry::is_live);
-        entries
+        self.drain(frame, true)
     }
 
     /// Copy (without removing) every live entry for `frame`.
     pub fn list(&self, frame: Pfn) -> Vec<PvEntry> {
-        let s = self.shard(frame);
-        s.get(&frame.0)
-            .map(|r| r.entries.iter().filter(|e| e.is_live()).cloned().collect())
+        self.visit(frame, |rec| rec.live().cloned().collect())
             .unwrap_or_default()
     }
 
     /// Number of live mappings of `frame`.
     pub fn mapping_count(&self, frame: Pfn) -> usize {
-        let s = self.shard(frame);
-        s.get(&frame.0)
-            .map_or(0, |r| r.entries.iter().filter(|e| e.is_live()).count())
+        self.visit(frame, |rec| rec.live().count()).unwrap_or(0)
     }
 
     /// OR attribute bits into the stolen set for `frame`.
@@ -208,28 +257,23 @@ impl PvTable {
         if bits == 0 {
             return;
         }
-        self.shard(frame).entry(frame.0).or_default().attrs |= bits;
+        self.update(frame, |rec| rec.attrs |= bits);
     }
 
     /// Read the stolen attribute bits for `frame`.
     pub fn attrs(&self, frame: Pfn) -> u8 {
-        self.shard(frame).get(&frame.0).map_or(0, |r| r.attrs)
+        self.visit(frame, |rec| rec.attrs).unwrap_or(0)
     }
 
     /// Clear some stolen attribute bits for `frame`.
     pub fn clear_attrs(&self, frame: Pfn, bits: u8) {
-        let mut s = self.shard(frame);
-        if let Entry::Occupied(mut o) = s.entry(frame.0) {
-            o.get_mut().attrs &= !bits;
-            if o.get().is_empty() {
-                o.remove();
-            }
-        }
+        self.visit(frame, |rec| rec.attrs &= !bits);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
     use std::sync::{mpsc, Arc, Barrier};
     use std::time::Duration;
 
@@ -287,7 +331,7 @@ mod tests {
     #[test]
     fn remove_does_not_run_a_pmap_destructor_under_the_shard_lock() {
         let (done, finished) = mpsc::channel();
-        let pv = Arc::new(PvTable::new(512));
+        let pv = Arc::new(PvTable::new(512, 1024));
         let worker_pv = Arc::clone(&pv);
         let worker = std::thread::spawn(move || {
             let pv = worker_pv;
@@ -359,7 +403,7 @@ mod tests {
         let machine = Machine::boot(MachineModel::multimax(CPUS));
         let md = NsMachDep::new(&machine);
         let page = machine.hw_page_size();
-        let pv = PvTable::new(page);
+        let pv = PvTable::new(page, machine.phys().size() / page);
         let stripe = STRIPE_BYTES / page;
         let shared = stripe / CPUS as u64;
         assert!(
@@ -381,16 +425,14 @@ mod tests {
             let own = (0..shared.max(2)).map(|i| Pfn(s0 + (1 + t) * stripe + i));
             hot.chain(own).collect()
         };
-        let hot_shard = pv.shard_index(Pfn(s0));
+        let hot_shard = pv.locate(Pfn(s0)).0;
         let mut own_shards = Vec::new();
         for t in 0..CPUS as u64 {
             let frames = frames_of(t);
             let (hot, own) = frames.split_at(2 * shared as usize);
-            assert!(hot.iter().all(|&f| pv.shard_index(f) == hot_shard));
-            assert!(own
-                .iter()
-                .all(|&f| pv.shard_index(f) == pv.shard_index(own[0])));
-            own_shards.push(pv.shard_index(own[0]));
+            assert!(hot.iter().all(|&f| pv.locate(f).0 == hot_shard));
+            assert!(own.iter().all(|&f| pv.locate(f).0 == pv.locate(own[0]).0));
+            own_shards.push(pv.locate(own[0]).0);
         }
         own_shards.push(hot_shard);
         own_shards.sort_unstable();
@@ -461,5 +503,205 @@ mod tests {
                 assert_eq!(observe(&*md, f, page), *want, "{f:?} of CPU {t} at the end");
             }
         }
+    }
+
+    /// A pmap stand-in with nothing but an identity.
+    struct Stub(u64);
+
+    impl HwMapper for Stub {
+        fn mapper_id(&self) -> u64 {
+            self.0
+        }
+        fn clear_hw(&self, _va: VAddr) -> (bool, bool) {
+            (false, false)
+        }
+        fn protect_hw(&self, _va: VAddr, _prot: HwProt) {}
+        fn read_mr(&self, _va: VAddr) -> (bool, bool) {
+            (false, false)
+        }
+        fn clear_mr(&self, _va: VAddr, _clear_mod: bool, _clear_ref: bool) {}
+        fn space_vpn(&self, va: VAddr) -> (u32, u64) {
+            (0, va.0)
+        }
+        fn cpus_cached(&self) -> u64 {
+            0
+        }
+    }
+
+    /// `(mapper_id, va)` of each entry.
+    fn ids(entries: &[PvEntry]) -> Vec<(u64, VAddr)> {
+        entries.iter().map(|e| (e.mapper_id, e.va)).collect()
+    }
+
+    /// What `frame`'s record stores, dead entries included, and its
+    /// stolen bits.
+    fn stored(pv: &PvTable, frame: Pfn) -> (Vec<(u64, VAddr)>, u8) {
+        let (shard, local) = pv.locate(frame);
+        pv.shards[shard]
+            .lock()
+            .get(local)
+            .map_or((Vec::new(), 0), |r| {
+                (r.entries().map(|e| (e.mapper_id, e.va)).collect(), r.attrs)
+            })
+    }
+
+    /// A seeded stream of every `PvTable` call, on `n_frames` frames of
+    /// `page` bytes, checked after each call against a map from frame to
+    /// (stored entries, stolen bits). Three pmaps share a few frames at
+    /// three addresses, so frames gather aliases and duplicates; a pmap
+    /// is now and then dropped while still mapped, and `remove` must
+    /// prune its dead entries.
+    fn pv_matches_a_reference_model(page: u64, n_frames: u64, seed: u64) {
+        const OPS: usize = 20_000;
+        let pv = PvTable::new(page, n_frames);
+        let stripe = (STRIPE_BYTES / page).max(1);
+        let mut frames = vec![
+            0,
+            stripe - 1,
+            stripe,
+            PV_SHARDS as u64 * stripe,
+            PV_SHARDS as u64 * stripe + 1,
+            n_frames - 2,
+            n_frames - 1,
+        ];
+        frames.dedup();
+        let frames: Vec<Pfn> = frames.into_iter().map(Pfn).collect();
+        let mut next_id = 1;
+        let mut pmaps: Vec<Arc<dyn HwMapper>> = (0..3)
+            .map(|_| {
+                next_id += 1;
+                Arc::new(Stub(next_id)) as Arc<dyn HwMapper>
+            })
+            .collect();
+        let mut model: HashMap<u64, (Vec<(u64, VAddr)>, u8)> = HashMap::new();
+        let (mut most_pmaps, mut pruned, mut edges_mapped) = (0, 0, [false; 2]);
+        let mut state = seed;
+        for step in 0..OPS {
+            let r = next(&mut state);
+            let frame = frames[(r >> 8) as usize % frames.len()];
+            let k = (r >> 16) as usize % pmaps.len();
+            let id = pmaps[k].mapper_id();
+            let va = VAddr(0x1000 * ((r >> 24) % 3));
+            let bits = ((r >> 32) % 4) as u8;
+            let live_ids: Vec<u64> = pmaps.iter().map(|m| m.mapper_id()).collect();
+            let live = |e: &(u64, VAddr)| live_ids.contains(&e.0);
+            let want = model.entry(frame.0).or_default();
+            let want_live: Vec<(u64, VAddr)> = want.0.iter().copied().filter(live).collect();
+            let at = format!("step {step}: frame {frame:?}, op {}", r % 16);
+            match r % 16 {
+                0..=4 => {
+                    pv.add(frame, Arc::downgrade(&pmaps[k]), id, va);
+                    if !want.0.contains(&(id, va)) {
+                        want.0.push((id, va));
+                    }
+                }
+                5..=7 => {
+                    pv.remove(frame, id, va, bits);
+                    let before = want.0.len();
+                    want.0.retain(|e| live(e) && *e != (id, va));
+                    pruned += before - want.0.len() - usize::from(want_live.contains(&(id, va)));
+                    want.1 |= bits;
+                }
+                8 => {
+                    assert_eq!(ids(&pv.take(frame)), want_live, "{at}");
+                    want.0.clear();
+                }
+                9 => {
+                    assert_eq!(ids(&pv.release(frame)), want_live, "{at}");
+                    *want = (Vec::new(), 0);
+                }
+                10 => {
+                    assert_eq!(ids(&pv.list(frame)), want_live, "{at}");
+                    assert_eq!(pv.mapping_count(frame), want_live.len(), "{at}");
+                }
+                11 => {
+                    pv.merge_attrs(frame, bits);
+                    want.1 |= bits;
+                }
+                12 => assert_eq!(pv.attrs(frame), want.1, "{at}"),
+                13 => {
+                    pv.clear_attrs(frame, bits);
+                    want.1 &= !bits;
+                }
+                _ => {
+                    // The pmap goes while still mapped; its entries die.
+                    next_id += 1;
+                    pmaps[k] = Arc::new(Stub(next_id));
+                }
+            }
+            assert_eq!(stored(&pv, frame), *want, "{at}");
+            let mut distinct: Vec<u64> = want.0.iter().map(|e| e.0).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            most_pmaps = most_pmaps.max(distinct.len());
+            if !want.0.is_empty() {
+                edges_mapped[0] |= frame.0 == 0;
+                edges_mapped[1] |= frame.0 == n_frames - 1;
+            }
+        }
+        for &frame in &frames {
+            let want = model.get(&frame.0).cloned().unwrap_or_default();
+            assert_eq!(stored(&pv, frame), want, "{frame:?} at the end");
+        }
+        assert!(most_pmaps >= 3, "three pmaps met on a frame");
+        assert!(pruned > 0, "remove pruned a dropped pmap's entries");
+        assert_eq!(edges_mapped, [true; 2], "frame 0 and the last frame mapped");
+    }
+
+    /// uVAX II frames: eight 512-byte frames to a stripe, and a frame
+    /// count that leaves the last stripe alone on its shard.
+    #[test]
+    fn pv_matches_a_reference_model_with_512_byte_frames() {
+        pv_matches_a_reference_model(512, 4100, 0x5EED);
+    }
+
+    /// SUN 3 frames: one 8 KiB frame per stripe.
+    #[test]
+    fn pv_matches_a_reference_model_with_8k_frames() {
+        pv_matches_a_reference_model(8192, 100, 0xF00D);
+    }
+
+    /// Every call takes its frame's shard lock exactly once, and a
+    /// zero-bit `merge_attrs` none: BENCH `locks` rows count these.
+    #[test]
+    fn each_call_takes_its_shard_lock_once() {
+        let machine = Machine::boot(MachineModel::micro_vax_ii());
+        let page = machine.hw_page_size();
+        let pv = PvTable::new(page, machine.phys().size() / page);
+        let m: Arc<dyn HwMapper> = Arc::new(Stub(1));
+        let _bound = machine.bind_cpu(0);
+        machine.locks.enable();
+        let acquisitions = || machine.locks.report()[LockSite::PvShard.rank()].acquisitions;
+        let mut last = acquisitions();
+        let mut took = |n: u64, call: &str| {
+            let now = acquisitions();
+            assert_eq!(now - last, n, "{call}");
+            last = now;
+        };
+        pv.add(FRAME, Arc::downgrade(&m), 1, VA);
+        took(1, "add");
+        pv.add(FRAME, Arc::downgrade(&m), 1, VAddr(0x4000));
+        took(1, "add of an alias");
+        pv.list(FRAME);
+        took(1, "list");
+        pv.mapping_count(FRAME);
+        took(1, "mapping_count");
+        pv.merge_attrs(FRAME, 0);
+        took(0, "zero-bit merge_attrs");
+        pv.merge_attrs(FRAME, ATTR_MOD);
+        took(1, "merge_attrs");
+        pv.attrs(FRAME);
+        took(1, "attrs");
+        pv.clear_attrs(FRAME, ATTR_MOD);
+        took(1, "clear_attrs");
+        pv.remove(FRAME, 1, VA, ATTR_REF);
+        took(1, "remove");
+        pv.take(FRAME);
+        took(1, "take");
+        pv.release(FRAME);
+        took(1, "release");
+        pv.attrs(Pfn(9999));
+        took(1, "attrs of a frame in an unwritten shard");
+        machine.locks.disable();
     }
 }
