@@ -19,7 +19,13 @@
 //! TLB-flush coalescing lives here and in [`crate::core::MdCore`]: a range
 //! operation batches every page it touched into a *single* shootdown round
 //! ([`mach_hw::machine::Machine::shootdown_multi`]), so each remote CPU
-//! takes one interrupt per operation, not one per page.
+//! takes one interrupt per operation, not one per page. The pv table is
+//! written the same way: `enter`, `remove` and teardown record and drop
+//! their mappings as runs of consecutive frames at consecutive pages
+//! ([`crate::pv::PvTable`]), and the reverse-map callbacks
+//! ([`HwMapper`]) take such a run under one port lock, so a
+//! physical-page operation visits a Mach page once and flushes once per
+//! CPU set.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,6 +36,7 @@ use mach_hw::machine::Machine;
 use mach_hw::tlb::FlushScope;
 
 use crate::core::MdCore;
+use crate::pv::{PvTable, ATTR_MOD, ATTR_REF};
 use crate::soft::SoftPmap;
 use crate::{HwMapper, MachDep, Pending, Pmap, PmapStats, ShootdownObserver, ShootdownPolicy};
 
@@ -156,7 +163,11 @@ pub trait HwTables: Send + Sync + fmt::Debug + 'static {
 
     /// Install `va` → `pfn` with `prot`, reporting the slot's previous
     /// occupant. When re-entering the same frame the port must preserve
-    /// the hardware modify/reference bits.
+    /// the hardware modify/reference bits. The chassis records the whole
+    /// `enter`'s pv entries, as one run, after its last insert, so an
+    /// insert must not evict a mapping an earlier insert of the same
+    /// `enter` made (a SUN 3 pmeg steal could only do so for an `enter`
+    /// larger than the whole pmeg pool; the kernel enters a Mach page).
     fn insert(
         &self,
         g: &mut Self::Guard<'_>,
@@ -271,10 +282,11 @@ impl<T: HwTables> PortChassis<T> {
         let mut flush = Vec::new();
         {
             let mut g = self.tables.lock();
+            let mut removal = PvRemoval::new(&self.core.pv, self.id, page);
             let mut v = start;
             while v < end {
                 if let Some((pfn, attrs)) = self.tables.clear(&mut g, v) {
-                    self.core.pv.remove(pfn, self.id, v, attrs);
+                    removal.push(v, pfn, attrs);
                     self.shared.resident.fetch_sub(1, Ordering::Relaxed);
                     if let Some(tag) = self.tables.space_vpn(&g, v) {
                         flush.push(tag);
@@ -283,9 +295,56 @@ impl<T: HwTables> PortChassis<T> {
                 }
                 v += page;
             }
+            removal.finish();
         }
         self.core.charge_op(flush.len() as u64);
         self.flush_time_critical(&flush);
+    }
+}
+
+/// A pmap's dropped mappings, removed from the pv table in runs of
+/// consecutive frames at consecutive pages, each frame with its
+/// harvested attribute bits.
+struct PvRemoval<'a> {
+    pv: &'a PvTable,
+    id: u64,
+    page: u64,
+    va: VAddr,
+    first: Pfn,
+    attrs: Vec<u8>,
+}
+
+impl<'a> PvRemoval<'a> {
+    fn new(pv: &'a PvTable, id: u64, page: u64) -> PvRemoval<'a> {
+        PvRemoval {
+            pv,
+            id,
+            page,
+            va: VAddr(0),
+            first: Pfn(0),
+            attrs: Vec::new(),
+        }
+    }
+
+    /// Drop the mapping `va` → `pfn`, whose hardware bits were `attrs`:
+    /// onto the gathered run if it continues it, else after removing
+    /// that run.
+    fn push(&mut self, va: VAddr, pfn: Pfn, attrs: u8) {
+        let n = self.attrs.len() as u64;
+        if n == 0 || pfn.0 != self.first.0 + n || va != self.va + n * self.page {
+            self.finish();
+            self.va = va;
+            self.first = pfn;
+        }
+        self.attrs.push(attrs);
+    }
+
+    /// Remove the gathered run from the pv table.
+    fn finish(&mut self) {
+        if !self.attrs.is_empty() {
+            self.pv.remove(self.first, self.id, self.va, &self.attrs);
+            self.attrs.clear();
+        }
     }
 }
 
@@ -298,13 +357,14 @@ impl<T: HwTables> Pmap for PortChassis<T> {
         self.core.charge_op(n);
         self.core.counters.enters.fetch_add(n, Ordering::Relaxed);
         let mut flush = Vec::new();
+        let first = Pfn(pa.0 / page);
         let quirk = {
             let mut g = self.tables.lock();
             self.tables.prepare_enter(&mut g, va, size);
+            let mut replaced = PvRemoval::new(&self.core.pv, self.id, page);
             for i in 0..n {
                 let v = va + i * page;
-                let frame = Pfn(pa.0 / page + i);
-                match self.tables.insert(&mut g, v, frame, prot, wired) {
+                match self.tables.insert(&mut g, v, Pfn(first.0 + i), prot, wired) {
                     SlotOld::Empty => {
                         self.shared.resident.fetch_add(1, Ordering::Relaxed);
                     }
@@ -315,14 +375,15 @@ impl<T: HwTables> Pmap for PortChassis<T> {
                     }
                     SlotOld::Replaced { pfn, attrs } => {
                         // The slot stays resident; only the frame changes.
-                        self.core.pv.remove(pfn, self.id, v, attrs);
+                        replaced.push(v, pfn, attrs);
                         if let Some(tag) = self.tables.space_vpn(&g, v) {
                             flush.push(tag);
                         }
                     }
                 }
-                self.core.pv.add(frame, self.weak_self(), self.id, v);
             }
+            replaced.finish();
+            self.core.pv.add(first, n, &self.weak_self(), self.id, va);
             self.tables.finish_enter(&mut g)
         };
         self.flush_time_critical(&flush);
@@ -414,40 +475,53 @@ impl<T: HwTables> HwMapper for PortChassis<T> {
         self.id
     }
 
-    fn clear_hw(&self, va: VAddr) -> (bool, bool) {
+    fn clear_hw(&self, va: VAddr, first: Pfn, attrs: &mut [u8]) -> bool {
+        let mut intact = true;
         let mut g = self.tables.lock();
-        match self.tables.clear(&mut g, va) {
-            Some((_, attrs)) => {
-                self.shared.resident.fetch_sub(1, Ordering::Relaxed);
-                (
-                    attrs & crate::pv::ATTR_MOD != 0,
-                    attrs & crate::pv::ATTR_REF != 0,
-                )
+        for (i, bits) in (0..).zip(attrs.iter_mut()) {
+            match self.tables.clear(&mut g, va + i * T::PAGE_SIZE) {
+                Some((pfn, a)) => {
+                    self.shared.resident.fetch_sub(1, Ordering::Relaxed);
+                    *bits |= a & (ATTR_MOD | ATTR_REF);
+                    intact &= pfn.0 == first.0 + i;
+                }
+                None => intact = false,
             }
-            None => (false, false),
+        }
+        intact
+    }
+
+    fn protect_hw(&self, va: VAddr, n: u64, prot: HwProt) {
+        let mut g = self.tables.lock();
+        for i in 0..n {
+            self.tables.reprotect(&mut g, va + i * T::PAGE_SIZE, prot);
         }
     }
 
-    fn protect_hw(&self, va: VAddr, prot: HwProt) {
+    fn read_mr(&self, va: VAddr, n: u64) -> (bool, bool) {
         let mut g = self.tables.lock();
-        self.tables.reprotect(&mut g, va, prot);
+        (0..n).fold((false, false), |(m, r), i| {
+            let (mi, ri) = self.tables.mr(&mut g, va + i * T::PAGE_SIZE, false, false);
+            (m | mi, r | ri)
+        })
     }
 
-    fn read_mr(&self, va: VAddr) -> (bool, bool) {
+    fn clear_mr(&self, va: VAddr, n: u64, clear_mod: bool, clear_ref: bool) {
         let mut g = self.tables.lock();
-        self.tables.mr(&mut g, va, false, false)
+        for i in 0..n {
+            self.tables
+                .mr(&mut g, va + i * T::PAGE_SIZE, clear_mod, clear_ref);
+        }
     }
 
-    fn clear_mr(&self, va: VAddr, clear_mod: bool, clear_ref: bool) {
-        let mut g = self.tables.lock();
-        self.tables.mr(&mut g, va, clear_mod, clear_ref);
-    }
-
-    fn space_vpn(&self, va: VAddr) -> (u32, u64) {
+    fn space_vpn(&self, va: VAddr, n: u64, tags: &mut Vec<(u32, u64)>) {
         let g = self.tables.lock();
-        self.tables
-            .space_vpn(&g, va)
-            .unwrap_or((u32::MAX, va.0 / T::PAGE_SIZE))
+        tags.extend((0..n).map(|i| {
+            let v = va + i * T::PAGE_SIZE;
+            self.tables
+                .space_vpn(&g, v)
+                .unwrap_or((u32::MAX, v.0 / T::PAGE_SIZE))
+        }));
     }
 
     fn cpus_cached(&self) -> u64 {
@@ -458,9 +532,11 @@ impl<T: HwTables> HwMapper for PortChassis<T> {
 impl<T: HwTables> Drop for PortChassis<T> {
     fn drop(&mut self) {
         let mut g = self.tables.lock();
+        let mut removal = PvRemoval::new(&self.core.pv, self.id, T::PAGE_SIZE);
         for (va, pfn, attrs) in self.tables.teardown(&mut g) {
-            self.core.pv.remove(pfn, self.id, va, attrs);
+            removal.push(va, pfn, attrs);
         }
+        removal.finish();
         self.shared.resident.store(0, Ordering::Relaxed);
     }
 }
@@ -568,7 +644,7 @@ impl<F: PortFactory> MachDep for ChassisMachDep<F> {
     fn mapping_count(&self, pa: PAddr) -> usize {
         self.core
             .pv
-            .mapping_count(pa.pfn(self.core.machine.hw_page_size()))
+            .mapping_count(pa.pfn(self.core.machine.hw_page_size()), 1)
     }
 
     fn update(&self) {

@@ -1,5 +1,15 @@
 //! Machinery shared by every pmap port: shootdown execution, the deferred
 //! flush queue, and the physical-page operations built on the pv table.
+//!
+//! A physical-page operation (`remove_all`, `page_free`,
+//! `copy_on_write`, the modify/reference family) works on a whole Mach
+//! page, a run of hardware frames. It takes or copies the page's pv
+//! entries in one visit, as runs ([`crate::pv::PvRun`]), calls each
+//! mapping pmap once per run, and flushes TLBs with one shootdown round
+//! per set of target CPUs, however many frames the page has. Each frame
+//! still contributes the flush scopes it would alone (its pages, or one
+//! full flush past eight), so every TLB ends as a round per frame would
+//! leave it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -10,9 +20,9 @@ use mach_hw::tlb::FlushScope;
 use mach_hw::Pfn;
 use parking_lot::{Mutex, RwLock};
 
-use crate::pv::{attr_bits, PvEntry, PvTable, ATTR_MOD, ATTR_REF};
+use crate::pv::{attr_bits, PvRun, PvTable, ATTR_MOD, ATTR_REF};
 use crate::{
-    Counters, HookGuard, Pending, ShootdownObserver, ShootdownPolicy, ShootdownSpanHook,
+    Counters, HookGuard, HwMapper, Pending, ShootdownObserver, ShootdownPolicy, ShootdownSpanHook,
     ShootdownStrategy,
 };
 
@@ -31,11 +41,78 @@ pub(crate) fn stat_sub(c: &AtomicU64, n: u64) {
     c.fetch_sub(n, Ordering::Relaxed);
 }
 
+/// Append flush scopes for `tags` to `scopes`: one page scope each, or,
+/// past a handful of pages, one full flush, which is cheaper — what real
+/// kernels do. Returns how many tags there were.
+fn push_scopes(
+    scopes: &mut Vec<FlushScope>,
+    tags: impl Iterator<Item = (u32, u64)> + Clone,
+) -> u64 {
+    let n = tags.clone().count();
+    if n > 8 {
+        scopes.push(FlushScope::All);
+    } else {
+        scopes.extend(tags.map(|(space, vpn)| FlushScope::Page { space, vpn }));
+    }
+    n as u64
+}
+
+/// One operation's flush for one CPU set, queued until `update`.
 #[derive(Debug)]
 struct DeferredFlush {
     cpus: u64,
-    scope: FlushScope,
+    scopes: Vec<FlushScope>,
     done: Arc<AtomicBool>,
+}
+
+/// The TLB work a physical-page operation leaves behind: for each frame
+/// of the page, the CPUs that may cache a mapping of it and the
+/// mappings' `(space, vpn)` tags.
+struct PageFlush {
+    /// The page's first frame.
+    first: Pfn,
+    /// Per frame of the page: OR of its mapping pmaps' cached CPUs.
+    cpus: Vec<u64>,
+    /// Per visited run: its first frame's index in the page, its length,
+    /// and where its tags start in `tags`.
+    runs: Vec<(usize, usize, usize)>,
+    tags: Vec<(u32, u64)>,
+}
+
+impl PageFlush {
+    /// No work yet for the page of `n` frames from `first`.
+    fn new(first: Pfn, n: u64) -> PageFlush {
+        PageFlush {
+            first,
+            cpus: vec![0; n as usize],
+            runs: Vec::new(),
+            tags: Vec::new(),
+        }
+    }
+
+    /// The index in the page of `run`'s first frame.
+    fn at(&self, run: &PvRun) -> usize {
+        (run.first.0 - self.first.0) as usize
+    }
+
+    /// Record that `m` maps `run`.
+    fn add(&mut self, m: &dyn HwMapper, run: &PvRun) {
+        let at = self.at(run);
+        let cpus = m.cpus_cached();
+        for c in &mut self.cpus[at..at + run.n as usize] {
+            *c |= cpus;
+        }
+        self.runs.push((at, run.n as usize, self.tags.len()));
+        m.space_vpn(run.va, run.n, &mut self.tags);
+    }
+
+    /// Frame `i`'s tags, one per run covering it.
+    fn tags_of(&self, i: usize) -> impl Iterator<Item = (u32, u64)> + Clone + '_ {
+        self.runs
+            .iter()
+            .filter(move |&&(at, n, _)| (at..at + n).contains(&i))
+            .map(move |&(at, _, start)| self.tags[start + i - at])
+    }
 }
 
 /// Shared state of one machine-dependent module instance.
@@ -96,8 +173,9 @@ impl MdCore {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Hardware frames covered by `[pa, pa+size)`.
-    pub fn frames(&self, pa: PAddr, size: u64) -> impl Iterator<Item = Pfn> {
+    /// The run of hardware frames `[pa, pa+size)` covers: its first frame
+    /// and its length.
+    pub fn frames(&self, pa: PAddr, size: u64) -> (Pfn, u64) {
         let page = self.machine.hw_page_size();
         assert!(
             pa.0.is_multiple_of(page),
@@ -107,7 +185,7 @@ impl MdCore {
             size.is_multiple_of(page),
             "physical size must be page aligned"
         );
-        (pa.0 / page..(pa.0 + size) / page).map(Pfn)
+        (Pfn(pa.0 / page), size / page)
     }
 
     /// Flush `(space, vpn)` pages from the TLBs of `cpus` using `strategy`.
@@ -118,44 +196,70 @@ impl MdCore {
         pages: &[(u32, u64)],
         strategy: ShootdownStrategy,
     ) -> Pending {
-        if pages.is_empty() || cpus == 0 {
-            return Pending::complete();
+        let mut pending = Pending::complete();
+        if !pages.is_empty() && cpus != 0 {
+            let mut scopes = Vec::new();
+            let pages = push_scopes(&mut scopes, pages.iter().copied());
+            self.dispatch(cpus, scopes, pages, strategy, &mut pending);
         }
-        // Batch: past a handful of pages a full flush is cheaper, which is
-        // what real kernels do.
-        let scopes: Vec<FlushScope> = if pages.len() > 8 {
-            vec![FlushScope::All]
-        } else {
-            pages
+        pending
+    }
+
+    /// Flush what a physical-page operation left in `flush`: one round
+    /// (or deferred flush) per distinct CPU set, in the order of the
+    /// first frame each set covers, carrying the scopes of every frame
+    /// with exactly that set.
+    fn flush_page(&self, flush: &PageFlush, strategy: ShootdownStrategy) -> Pending {
+        let mut pending = Pending::complete();
+        for (i, &cpus) in flush.cpus.iter().enumerate() {
+            if cpus == 0 || flush.cpus[..i].contains(&cpus) {
+                continue;
+            }
+            let (mut scopes, mut pages) = (Vec::new(), 0);
+            for (j, _) in flush
+                .cpus
                 .iter()
-                .map(|&(space, vpn)| FlushScope::Page { space, vpn })
-                .collect()
-        };
-        let targets = cpu_list(cpus, self.machine.n_cpus());
+                .enumerate()
+                .skip(i)
+                .filter(|&(_, &c)| c == cpus)
+            {
+                pages += push_scopes(&mut scopes, flush.tags_of(j));
+            }
+            self.dispatch(cpus, scopes, pages, strategy, &mut pending);
+        }
+        pending
+    }
+
+    /// Carry out one flush of `scopes` (covering `pages` pages) on the
+    /// TLBs of `cpus` by `strategy`; a deferred flush's completion flag
+    /// joins `pending`.
+    fn dispatch(
+        &self,
+        cpus: u64,
+        scopes: Vec<FlushScope>,
+        pages: u64,
+        strategy: ShootdownStrategy,
+        pending: &mut Pending,
+    ) {
         match strategy {
             ShootdownStrategy::Immediate => {
                 // Coalesced: one shootdown round carries every scope, so
                 // each target CPU takes a single interrupt for the whole
-                // range operation instead of one per page.
+                // operation instead of one per page.
                 let span = self.round_span();
+                let targets = cpu_list(cpus, self.machine.n_cpus());
                 let sent = self.machine.shootdown_multi(&targets, &scopes, true);
                 self.count_round(sent);
-                self.notify_round(cpus, pages.len() as u64);
+                self.notify_round(cpus, pages);
                 drop(span);
-                Pending::complete()
             }
             ShootdownStrategy::Deferred => {
-                let mut pending = Pending::complete();
-                let mut q = self.deferred.lock();
-                for scope in scopes {
-                    let done = Arc::new(AtomicBool::new(false));
-                    pending.push(Arc::clone(&done));
-                    q.push(DeferredFlush { cpus, scope, done });
-                    self.counters
-                        .deferred_queued
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                pending
+                let done = Arc::new(AtomicBool::new(false));
+                pending.push(Arc::clone(&done));
+                stat_add(&self.counters.deferred_queued, scopes.len() as u64);
+                self.deferred
+                    .lock()
+                    .push(DeferredFlush { cpus, scopes, done });
             }
             ShootdownStrategy::Lazy => {
                 // Only the initiating CPU is brought up to date; remote
@@ -166,42 +270,45 @@ impl MdCore {
                         self.machine.flush_local(scope);
                     }
                 }
-                Pending::complete()
             }
         }
     }
 
     /// Run every queued deferred flush (the timer-interrupt moment).
     ///
-    /// This is where deferral pays: the queue is batched per CPU set, and
-    /// past a handful of pages one full flush replaces them all — many
-    /// invalidations ride a single interrupt.
+    /// This is where deferral pays: the queue is batched per CPU set, in
+    /// the order each set was first queued, and past a handful of scopes
+    /// one full flush replaces them all — many invalidations ride a
+    /// single interrupt.
     pub fn update(&self) {
-        let work: Vec<DeferredFlush> = {
-            let mut q = self.deferred.lock();
-            q.drain(..).collect()
-        };
-        let mut by_cpus: std::collections::HashMap<u64, Vec<DeferredFlush>> =
-            std::collections::HashMap::new();
+        let work = std::mem::take(&mut *self.deferred.lock());
+        let mut by_cpus: Vec<(u64, Vec<FlushScope>, Vec<Arc<AtomicBool>>)> = Vec::new();
         for f in work {
-            by_cpus.entry(f.cpus).or_default().push(f);
+            match by_cpus.iter_mut().find(|(cpus, ..)| *cpus == f.cpus) {
+                Some((_, scopes, done)) => {
+                    scopes.extend(f.scopes);
+                    done.push(f.done);
+                }
+                None => by_cpus.push((f.cpus, f.scopes, vec![f.done])),
+            }
         }
-        for (cpus, flushes) in by_cpus {
-            let targets = cpu_list(cpus, self.machine.n_cpus());
-            let scopes: Vec<FlushScope> = if flushes.len() > 8 {
+        for (cpus, scopes, done) in by_cpus {
+            let queued = scopes.len();
+            let scopes = if queued > 8 {
                 vec![FlushScope::All]
             } else {
-                flushes.iter().map(|f| f.scope).collect()
+                scopes
             };
             // One coalesced round per CPU set, however many flushes were
             // queued against it.
             let span = self.round_span();
+            let targets = cpu_list(cpus, self.machine.n_cpus());
             let sent = self.machine.shootdown_multi(&targets, &scopes, true);
             self.count_round(sent);
-            self.notify_round(cpus, flushes.len() as u64);
+            self.notify_round(cpus, queued as u64);
             drop(span);
-            for f in flushes {
-                f.done.store(true, Ordering::Release);
+            for d in done {
+                d.store(true, Ordering::Release);
             }
         }
     }
@@ -239,58 +346,57 @@ impl MdCore {
             .fetch_add(ipis as u64, Ordering::Relaxed);
     }
 
-    /// `pmap_remove_all` over the pv table.
+    /// `pmap_remove_all` over the pv table: the page's entries go in one
+    /// visit, and the bits harvested from their mappings are stolen back
+    /// in a second.
     pub fn remove_all_with(&self, pa: PAddr, size: u64, strategy: ShootdownStrategy) -> Pending {
-        let mut pending = Pending::complete();
-        for frame in self.frames(pa, size) {
-            let (bits, cpus, pages) = self.clear_mappings(self.pv.take(frame));
-            self.pv.merge_attrs(frame, bits);
-            let p = self.flush_pages(cpus, &pages, strategy);
-            for f in p.flags {
-                pending.push(f);
-            }
-        }
-        pending
+        let (first, n) = self.frames(pa, size);
+        let mut bits = vec![0; n as usize];
+        let (flush, _) = self.clear_mappings(first, self.pv.take(first, n, 0), &mut bits);
+        self.pv.merge_attrs(first, &bits);
+        self.flush_page(&flush, strategy)
     }
 
-    /// `pmap_remove_all` for frames being freed: every mapping goes, with
-    /// a time-critical flush, and the frame's stolen modify/reference
-    /// bits are forgotten. One pv visit per frame takes its whole record.
-    /// A second visit happens only when live mappings were cleared: a
-    /// pmap that had just cleared its own mapping of the frame may merge
-    /// those bits late, but it does so under its port lock, which
-    /// `clear_hw` waits for, so the second visit comes after it.
+    /// `pmap_remove_all` for a page being freed: every mapping goes, with
+    /// a time-critical flush, and the page's stolen modify/reference bits
+    /// are forgotten, all in one pv visit. A second visit happens only
+    /// when a cleared page no longer mapped its frame: whoever cleared or
+    /// replaced that mapping first may merge its bits into the frame
+    /// late, but does so under its port lock, which `clear_hw` waited
+    /// for, so the second visit comes after it.
     pub fn page_free(&self, pa: PAddr, size: u64) {
         let strategy = self.policy.read().time_critical;
-        for frame in self.frames(pa, size) {
-            let entries = self.pv.release(frame);
-            if entries.is_empty() {
-                continue;
-            }
-            let (_, cpus, pages) = self.clear_mappings(entries);
-            self.pv.clear_attrs(frame, ATTR_MOD | ATTR_REF);
-            self.flush_pages(cpus, &pages, strategy);
+        let (first, n) = self.frames(pa, size);
+        let runs = self.pv.take(first, n, ATTR_MOD | ATTR_REF);
+        if runs.is_empty() {
+            return;
         }
+        let (flush, intact) = self.clear_mappings(first, runs, &mut vec![0; n as usize]);
+        if !intact {
+            self.pv.clear_attrs(first, n, ATTR_MOD | ATTR_REF);
+        }
+        self.flush_page(&flush, strategy);
     }
 
-    /// Invalidate every mapping in `entries` (no TLB flush); returns the
-    /// harvested modify/reference bits, the CPUs that may cache the
-    /// mappings, and their `(space, vpn)` tags.
-    fn clear_mappings(&self, entries: Vec<PvEntry>) -> (u8, u64, Vec<(u32, u64)>) {
-        let mut bits = 0;
-        let mut cpus = 0u64;
-        let mut pages = Vec::new();
-        for e in entries {
-            let Some(m) = e.mapper.upgrade() else {
+    /// Invalidate every mapping in `runs`, taken from the page of
+    /// `bits.len()` frames from `first` (no TLB flush), OR-ing each
+    /// frame's harvested modify/reference bits into `bits`. Returns the
+    /// TLB work left and whether every run was still live and mapped its
+    /// frames.
+    fn clear_mappings(&self, first: Pfn, runs: Vec<PvRun>, bits: &mut [u8]) -> (PageFlush, bool) {
+        let mut flush = PageFlush::new(first, bits.len() as u64);
+        let mut intact = true;
+        for run in &runs {
+            let Some(m) = run.mapper.upgrade() else {
+                intact = false;
                 continue;
             };
-            let (was_mod, was_ref) = m.clear_hw(e.va);
-            bits |= attr_bits(was_mod, was_ref);
-            pages.push(m.space_vpn(e.va));
-            cpus |= m.cpus_cached();
-            self.counters.removes.fetch_add(1, Ordering::Relaxed);
+            let at = flush.at(run);
+            intact &= m.clear_hw(run.va, run.first, &mut bits[at..at + run.n as usize]);
+            flush.add(&*m, run);
+            stat_add(&self.counters.removes, run.n);
         }
-        (bits, cpus, pages)
+        (flush, intact)
     }
 
     /// `pmap_copy_on_write` over the pv table: narrow every mapping of the
@@ -298,74 +404,56 @@ impl MdCore {
     /// another CPU would break copy semantics.
     pub fn copy_on_write(&self, pa: PAddr, size: u64) {
         let strategy = self.policy.read().time_critical;
-        for frame in self.frames(pa, size) {
-            let mut pages = Vec::new();
-            let mut cpus = 0u64;
-            for e in self.pv.list(frame) {
-                let Some(m) = e.mapper.upgrade() else {
-                    continue;
-                };
-                m.protect_hw(e.va, HwProt::READ | HwProt::EXECUTE);
-                pages.push(m.space_vpn(e.va));
-                cpus |= m.cpus_cached();
-                self.counters.protects.fetch_add(1, Ordering::Relaxed);
-            }
-            self.flush_pages(cpus, &pages, strategy);
+        let (first, n) = self.frames(pa, size);
+        let mut flush = PageFlush::new(first, n);
+        for run in self.pv.list(first, n, 0).1 {
+            let Some(m) = run.mapper.upgrade() else {
+                continue;
+            };
+            m.protect_hw(run.va, run.n, HwProt::READ | HwProt::EXECUTE);
+            flush.add(&*m, &run);
+            stat_add(&self.counters.protects, run.n);
         }
+        self.flush_page(&flush, strategy);
+    }
+
+    /// Whether attribute `bit` ([`ATTR_MOD`] or [`ATTR_REF`]) is set for
+    /// any frame of `[pa, pa+size)`: in its stolen bits, else in a live
+    /// mapping's hardware bits.
+    fn test_bit(&self, pa: PAddr, size: u64, bit: u8) -> bool {
+        let (first, n) = self.frames(pa, size);
+        let (attrs, runs) = self.pv.list(first, n, 0);
+        attrs & bit != 0
+            || runs.iter().any(|r| {
+                r.mapper.upgrade().is_some_and(|m| {
+                    let (modified, referenced) = m.read_mr(r.va, r.n);
+                    attr_bits(modified, referenced) & bit != 0
+                })
+            })
     }
 
     pub fn is_modified(&self, pa: PAddr, size: u64) -> bool {
-        self.frames(pa, size).any(|frame| {
-            if self.pv.attrs(frame) & ATTR_MOD != 0 {
-                return true;
-            }
-            self.pv.list(frame).iter().any(|e| {
-                e.mapper
-                    .upgrade()
-                    .map(|m| m.read_mr(e.va).0)
-                    .unwrap_or(false)
-            })
-        })
+        self.test_bit(pa, size, ATTR_MOD)
     }
 
     pub fn is_referenced(&self, pa: PAddr, size: u64) -> bool {
-        self.frames(pa, size).any(|frame| {
-            if self.pv.attrs(frame) & ATTR_REF != 0 {
-                return true;
-            }
-            self.pv.list(frame).iter().any(|e| {
-                e.mapper
-                    .upgrade()
-                    .map(|m| m.read_mr(e.va).1)
-                    .unwrap_or(false)
-            })
-        })
+        self.test_bit(pa, size, ATTR_REF)
     }
 
     pub fn clear_bits(&self, pa: PAddr, size: u64, clear_mod: bool, clear_ref: bool) {
-        for frame in self.frames(pa, size) {
-            let mut bits = 0;
-            if clear_mod {
-                bits |= ATTR_MOD;
-            }
-            if clear_ref {
-                bits |= ATTR_REF;
-            }
-            self.pv.clear_attrs(frame, bits);
-            let mut pages = Vec::new();
-            let mut cpus = 0u64;
-            for e in self.pv.list(frame) {
-                let Some(m) = e.mapper.upgrade() else {
-                    continue;
-                };
-                m.clear_mr(e.va, clear_mod, clear_ref);
-                pages.push(m.space_vpn(e.va));
-                cpus |= m.cpus_cached();
-            }
-            // Flush so stale TLB dirty bits cannot suppress the next
-            // modify-bit update, and so references re-walk.
-            self.flush_pages(cpus, &pages, ShootdownStrategy::Immediate);
+        let (first, n) = self.frames(pa, size);
+        let mut flush = PageFlush::new(first, n);
+        let (_, runs) = self.pv.list(first, n, attr_bits(clear_mod, clear_ref));
+        for run in runs {
+            let Some(m) = run.mapper.upgrade() else {
+                continue;
+            };
+            m.clear_mr(run.va, run.n, clear_mod, clear_ref);
+            flush.add(&*m, &run);
         }
+        // Flush so stale TLB dirty bits cannot suppress the next
+        // modify-bit update, and so references re-walk.
+        self.flush_page(&flush, ShootdownStrategy::Immediate);
     }
 
     /// `pmap_zero_page` with cost accounting.
@@ -399,6 +487,8 @@ impl MdCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MachDep;
+    use mach_hw::lock::LockSite;
     use mach_hw::machine::MachineModel;
 
     #[test]
@@ -435,8 +525,7 @@ mod tests {
     fn frames_iteration_checks_alignment() {
         let machine = Machine::boot(MachineModel::micro_vax_ii());
         let core = MdCore::new(&machine);
-        let frames: Vec<Pfn> = core.frames(PAddr(1024), 1536).collect();
-        assert_eq!(frames, vec![Pfn(2), Pfn(3), Pfn(4)]);
+        assert_eq!(core.frames(PAddr(1024), 1536), (Pfn(2), 3));
     }
 
     #[test]
@@ -444,7 +533,87 @@ mod tests {
     fn unaligned_frames_panic() {
         let machine = Machine::boot(MachineModel::micro_vax_ii());
         let core = MdCore::new(&machine);
-        let _ = core.frames(PAddr(3), 512).count();
+        let _ = core.frames(PAddr(3), 512);
+    }
+
+    /// `update` sends one round per queued CPU set, in the order each
+    /// set was first queued.
+    #[test]
+    fn update_rounds_go_out_in_first_queued_order() {
+        let machine = Machine::boot(MachineModel::vax_11_784());
+        let core = MdCore::new(&machine);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        core.set_observer(Arc::new(move |cpus, pages| log.lock().push((cpus, pages))));
+        for (cpus, vpn) in [(0b10, 1), (0b01, 2), (0b10, 3)] {
+            core.flush_pages(cpus, &[(0, vpn)], ShootdownStrategy::Deferred);
+        }
+        core.update();
+        assert_eq!(*seen.lock(), vec![(0b10, 2), (0b01, 1)]);
+    }
+
+    /// A 4 KB Mach page is eight uVAX frames. Every physical-page
+    /// operation on it flushes with one shootdown round, not one per
+    /// frame, and `page_free` and the modify/reference reads visit the
+    /// page's pv shard once.
+    #[test]
+    fn a_mach_page_of_eight_frames_is_one_round_and_one_pv_visit() {
+        const MACH_PAGE: u64 = 4096;
+        let machine = Machine::boot(MachineModel::micro_vax_ii());
+        let md = crate::vax::VaxMachDep::new(&machine);
+        let hw = machine.hw_page_size();
+        let frames = MACH_PAGE / hw;
+        assert_eq!(frames, 8);
+        let run = machine.frames().alloc_contig(2 * frames).expect("frames");
+        let pa = Pfn(run.0.next_multiple_of(frames)).base(hw);
+        let va = mach_hw::addr::VAddr(0x10000);
+        let _b = machine.bind_cpu(0);
+        let pmap = md.create();
+        pmap.activate(0);
+        let map = || {
+            pmap.enter(va, pa, MACH_PAGE, HwProt::READ | HwProt::WRITE, false);
+            for i in 0..frames {
+                machine.store_u32(va + i * hw, i as u32).expect("mapped");
+            }
+        };
+        let rounds = || md.stats().flush_rounds;
+        let ops: [(&str, &dyn Fn()); 6] = [
+            ("remove_all", &|| md.remove_all(pa, MACH_PAGE)),
+            ("remove_all_deferred + update", &|| {
+                let pending = md.remove_all_deferred(pa, MACH_PAGE);
+                md.update();
+                assert!(pending.is_complete());
+            }),
+            ("page_free", &|| md.page_free(pa, MACH_PAGE)),
+            ("copy_on_write", &|| md.copy_on_write(pa, MACH_PAGE)),
+            ("clear_modify", &|| md.clear_modify(pa, MACH_PAGE)),
+            ("clear_reference", &|| md.clear_reference(pa, MACH_PAGE)),
+        ];
+        for (name, op) in ops {
+            map();
+            let before = rounds();
+            op();
+            assert_eq!(rounds() - before, 1, "{name}");
+        }
+
+        machine.locks.enable();
+        let visits = || machine.locks.report()[LockSite::PvShard.rank()].acquisitions;
+        let reads: [(&str, &dyn Fn()); 3] = [
+            ("page_free", &|| md.page_free(pa, MACH_PAGE)),
+            ("is_modified", &|| assert!(md.is_modified(pa, MACH_PAGE))),
+            (
+                "is_referenced",
+                &|| assert!(md.is_referenced(pa, MACH_PAGE)),
+            ),
+        ];
+        for (name, op) in reads {
+            map();
+            let before = visits();
+            op();
+            assert_eq!(visits() - before, 1, "{name}");
+        }
+        machine.locks.disable();
+        pmap.deactivate(0);
     }
 
     #[test]

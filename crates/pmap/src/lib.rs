@@ -40,7 +40,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mach_hw::addr::{HwProt, PAddr, VAddr};
+use mach_hw::addr::{HwProt, PAddr, Pfn, VAddr};
 use mach_hw::machine::Machine;
 use mach_hw::ArchKind;
 
@@ -112,23 +112,31 @@ pub trait Pmap: Send + Sync + fmt::Debug {
 /// Internal reverse-map callback interface: how the physical-page
 /// operations of [`MachDep`] reach into an individual pmap. Implemented by
 /// every port; not meant for users (it is public only because
-/// [`pv::PvEntry`] holds `Weak<dyn HwMapper>`).
+/// [`pv::PvRun`] holds `Weak<dyn HwMapper>`).
+///
+/// Each callback takes a run of hardware pages, the `n` pages from `va`
+/// on (one [`pv::PvRun`]), and takes the pmap's port lock once for all of
+/// them. None flushes a TLB: the caller batches that.
 #[doc(hidden)]
 pub trait HwMapper: Send + Sync {
-    /// Stable identity for pv bookkeeping: the id each
-    /// [`pv::PvEntry`] of this pmap is recorded and matched under.
+    /// Stable identity for pv bookkeeping: the id each pv entry of this
+    /// pmap is recorded and matched under.
     fn mapper_id(&self) -> u64;
-    /// Invalidate the hardware mapping at `va`; return its (modified,
-    /// referenced) bits. Does not flush TLBs — the caller batches that.
-    fn clear_hw(&self, va: VAddr) -> (bool, bool);
-    /// Narrow the hardware mapping at `va` to `prot` (no TLB flush).
-    fn protect_hw(&self, va: VAddr, prot: HwProt);
-    /// Read (modified, referenced) for the mapping at `va`.
-    fn read_mr(&self, va: VAddr) -> (bool, bool);
-    /// Clear modify and/or reference bits at `va` (no TLB flush).
-    fn clear_mr(&self, va: VAddr, clear_mod: bool, clear_ref: bool);
-    /// TLB (space, vpn) tag for `va`.
-    fn space_vpn(&self, va: VAddr) -> (u32, u64);
+    /// Invalidate the hardware mappings of the `attrs.len()` pages from
+    /// `va`, which the pv table has mapping the frames from `first` on,
+    /// and OR page `i`'s modify/reference attribute bits into `attrs[i]`.
+    /// Returns whether every page still mapped its frame, i.e. no other
+    /// operation cleared or replaced one of them first.
+    fn clear_hw(&self, va: VAddr, first: Pfn, attrs: &mut [u8]) -> bool;
+    /// Narrow the hardware mappings of the `n` pages from `va` to `prot`.
+    fn protect_hw(&self, va: VAddr, n: u64, prot: HwProt);
+    /// (modified, referenced), each OR-ed over the `n` pages from `va`.
+    fn read_mr(&self, va: VAddr, n: u64) -> (bool, bool);
+    /// Clear modify and/or reference bits of the `n` pages from `va`.
+    fn clear_mr(&self, va: VAddr, n: u64, clear_mod: bool, clear_ref: bool);
+    /// Append the TLB `(space, vpn)` tags of the `n` pages from `va` to
+    /// `tags`.
+    fn space_vpn(&self, va: VAddr, n: u64, tags: &mut Vec<(u32, u64)>);
     /// Bitmask of CPUs that may hold TLB entries of this pmap.
     fn cpus_cached(&self) -> u64;
 }
@@ -315,7 +323,7 @@ pub trait MachDep: Send + Sync + fmt::Debug {
     /// Retire `[pa, pa+size)` as it is freed: [`MachDep::remove_all`],
     /// [`MachDep::clear_modify`] and [`MachDep::clear_reference`] in one,
     /// so no mapping and no stolen modify/reference bit outlives the
-    /// page. Each frame's pv record is taken in one visit, not five.
+    /// page. The page's pv records are taken in one visit, not five.
     fn page_free(&self, pa: PAddr, size: u64);
 
     /// `pmap_copy_on_write`: revoke write access to `[pa, pa+size)` in

@@ -16,6 +16,17 @@
 //! OR-ed in here — `pmap_is_modified` consults both live mappings and
 //! these stolen bits, exactly as Mach's `pmap_attributes` did.
 //!
+//! # Runs
+//!
+//! A Mach page is a power-of-two run of hardware frames (eight 512-byte
+//! frames to a 4 KB page on the uVAX), and the machine-independent layer
+//! maps, unmaps and retires whole Mach pages. Every method therefore
+//! takes a run of frames, `first..first + n` (a single frame is a run of
+//! one), and the methods that read entries out return them as
+//! [`PvRun`]s: one pmap mapping consecutive frames at consecutive
+//! hardware pages. A physical-page operation visits a Mach page once and
+//! calls each pmap once per run, not once per frame.
+//!
 //! # Concurrency
 //!
 //! Every `pmap_enter` and `pmap_remove` on every CPU passes through this
@@ -24,13 +35,14 @@
 //! default Mach page), so one Mach page's hardware frames share a shard
 //! and consecutive pages land on consecutive shards. A shard's records
 //! are its stripes' frames in address order, allocated on the shard's
-//! first write, so booting allocates none. Each method locks its frame's
-//! shard once (a zero-bit [`PvTable::merge_attrs`] locks nothing) and
-//! calls out to nothing while holding it — in particular it never
-//! upgrades a [`PvEntry::mapper`], which could make it the last owner of
-//! a pmap whose destructor re-enters this table. A pv shard is therefore
-//! a leaf below every port's lock ([`crate::chassis::HwTables::lock`]),
-//! and no operation holds two shards (DESIGN.md §8).
+//! first write, so booting allocates none. Each method locks a shard once
+//! per stripe its run covers, one shard at a time (an all-zero
+//! [`PvTable::merge_attrs`] locks nothing), and calls out to nothing while
+//! holding it — in particular it never upgrades a [`PvRun::mapper`],
+//! which could make it the last owner of a pmap whose destructor
+//! re-enters this table. A pv shard is therefore a leaf below every
+//! port's lock ([`crate::chassis::HwTables::lock`]), and no operation
+//! holds two shards (DESIGN.md §8).
 
 use std::sync::Weak;
 
@@ -57,16 +69,17 @@ pub fn attr_bits(modified: bool, referenced: bool) -> u8 {
     (modified as u8 * ATTR_MOD) | (referenced as u8 * ATTR_REF)
 }
 
-/// One reverse-map entry: a pmap and the virtual address mapping the frame.
+/// One frame's reverse-map entry: a pmap and the virtual address mapping
+/// the frame.
 #[derive(Clone)]
-pub struct PvEntry {
+struct PvEntry {
     /// The mapping pmap (weak: a dropped pmap's entries are ignored).
-    pub mapper: Weak<dyn HwMapper>,
+    mapper: Weak<dyn HwMapper>,
     /// The pmap's [`HwMapper::mapper_id`], so entries match without an
     /// upgrade.
-    pub mapper_id: u64,
+    mapper_id: u64,
     /// The virtual address of the mapping within that pmap.
-    pub va: VAddr,
+    va: VAddr,
 }
 
 impl PvEntry {
@@ -81,6 +94,51 @@ impl std::fmt::Debug for PvEntry {
             .field("mapper_id", &self.mapper_id)
             .field("va", &self.va)
             .finish()
+    }
+}
+
+/// Mappings of a run of frames by one pmap: frames `first..first + n`
+/// at the hardware pages from `va` on, in step.
+#[derive(Clone)]
+pub struct PvRun {
+    /// The mapping pmap (weak: upgrade it only outside the table).
+    pub mapper: Weak<dyn HwMapper>,
+    /// The pmap's [`HwMapper::mapper_id`].
+    pub mapper_id: u64,
+    /// The virtual address mapping `first`.
+    pub va: VAddr,
+    /// The run's first frame.
+    pub first: Pfn,
+    /// Frames in the run.
+    pub n: u64,
+}
+
+impl std::fmt::Debug for PvRun {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PvRun")
+            .field("mapper_id", &self.mapper_id)
+            .field("va", &self.va)
+            .field("first", &self.first)
+            .field("n", &self.n)
+            .finish()
+    }
+}
+
+/// Append `frame`'s entry `e` to `runs`: onto the run it continues (same
+/// pmap, the next frame at the next page), else as a new run.
+fn join(runs: &mut Vec<PvRun>, frame: Pfn, e: PvEntry, page: u64) {
+    let continued = runs.iter_mut().find(|r| {
+        r.mapper_id == e.mapper_id && r.first.0 + r.n == frame.0 && r.va + r.n * page == e.va
+    });
+    match continued {
+        Some(r) => r.n += 1,
+        None => runs.push(PvRun {
+            mapper: e.mapper,
+            mapper_id: e.mapper_id,
+            va: e.va,
+            first: frame,
+            n: 1,
+        }),
     }
 }
 
@@ -119,12 +177,11 @@ impl PvFrame {
     }
 
     /// Move every entry out, in order.
-    fn take(&mut self) -> Vec<PvEntry> {
-        let mut all = std::mem::take(&mut self.aliases);
-        if let Some(first) = self.first.take() {
-            all.insert(0, first);
-        }
-        all
+    fn take(&mut self) -> impl Iterator<Item = PvEntry> {
+        self.first
+            .take()
+            .into_iter()
+            .chain(std::mem::take(&mut self.aliases))
     }
 }
 
@@ -136,6 +193,8 @@ type Shard = Vec<PvFrame>;
 #[derive(Debug)]
 pub struct PvTable {
     shards: Box<[KernelMutex<Shard>]>,
+    /// Hardware page size: the distance between a run's addresses.
+    page: u64,
     /// log2 of the hardware frames in one [`STRIPE_BYTES`] stripe.
     stripe_shift: u32,
     /// Records a shard allocates on its first write: its stripes' share
@@ -154,6 +213,7 @@ impl PvTable {
             shards: (0..PV_SHARDS)
                 .map(|_| KernelMutex::new(LockSite::PvShard, Shard::new()))
                 .collect(),
+            page: hw_page_size,
             stripe_shift,
             shard_frames: (stripes.div_ceil(PV_SHARDS as u64) << stripe_shift) as usize,
         }
@@ -169,34 +229,46 @@ impl PvTable {
         ((stripe % PV_SHARDS as u64) as usize, local as usize)
     }
 
-    /// Run `f` on `frame`'s record under its shard lock, unless the shard
-    /// has never been written (then every record in it is empty).
-    fn visit<R>(&self, frame: Pfn, f: impl FnOnce(&mut PvFrame) -> R) -> Option<R> {
-        let (shard, local) = self.locate(frame);
-        self.shards[shard].lock().get_mut(local).map(f)
-    }
-
-    /// Run `f` on `frame`'s record under its shard lock, allocating the
-    /// shard's records on its first write.
-    fn update<R>(&self, frame: Pfn, f: impl FnOnce(&mut PvFrame) -> R) -> R {
-        let (shard, local) = self.locate(frame);
-        let mut records = self.shards[shard].lock();
-        if records.is_empty() {
-            records.resize_with(self.shard_frames, PvFrame::default);
+    /// Run `f` on the records of frames `first..first + n` in order, with
+    /// each frame's index in the run, locking a shard once per stripe the
+    /// run covers. `write` allocates a never-written shard's records;
+    /// otherwise its frames, all empty, are skipped.
+    fn visit(&self, first: Pfn, n: u64, write: bool, mut f: impl FnMut(usize, &mut PvFrame)) {
+        let end = first.0 + n;
+        let mut frame = first.0;
+        while frame < end {
+            let stripe_end = ((frame >> self.stripe_shift) + 1) << self.stripe_shift;
+            let chunk = stripe_end.min(end) - frame;
+            let (shard, local) = self.locate(Pfn(frame));
+            let mut records = self.shards[shard].lock();
+            if records.is_empty() && write {
+                records.resize_with(self.shard_frames, PvFrame::default);
+            }
+            if !records.is_empty() {
+                let at = (frame - first.0) as usize;
+                for (i, rec) in records[local..local + chunk as usize]
+                    .iter_mut()
+                    .enumerate()
+                {
+                    f(at + i, rec);
+                }
+            }
+            frame += chunk;
         }
-        f(&mut records[local])
     }
 
-    /// Record that `mapper` (identity `mapper_id`) maps `frame` at `va`.
-    pub fn add(&self, frame: Pfn, mapper: Weak<dyn HwMapper>, mapper_id: u64, va: VAddr) {
-        self.update(frame, |rec| {
+    /// Record that `mapper` (identity `mapper_id`) maps frames
+    /// `first..first + n` at the hardware pages from `va` on.
+    pub fn add(&self, first: Pfn, n: u64, mapper: &Weak<dyn HwMapper>, mapper_id: u64, va: VAddr) {
+        self.visit(first, n, true, |i, rec| {
+            let va = va + i as u64 * self.page;
             // A duplicate (same pmap, same va) is already recorded.
             if !rec
                 .entries()
                 .any(|e| e.mapper_id == mapper_id && e.va == va)
             {
                 rec.push(PvEntry {
-                    mapper,
+                    mapper: mapper.clone(),
                     mapper_id,
                     va,
                 });
@@ -204,70 +276,67 @@ impl PvTable {
         });
     }
 
-    /// Remove the entry for (`frame`, `mapper_id`, `va`) and OR in
-    /// `attrs`, the bits harvested from its dying hardware mapping, in
-    /// one visit. Dead entries met on the way are dropped.
-    pub fn remove(&self, frame: Pfn, mapper_id: u64, va: VAddr, attrs: u8) {
-        self.update(frame, |rec| {
+    /// Remove `mapper_id`'s entries for frames `first..` at the hardware
+    /// pages from `va` on, one frame for each of `attrs`, and OR in each
+    /// frame's `attrs`, the bits harvested from its dying hardware
+    /// mapping. Dead entries met on the way are dropped.
+    pub fn remove(&self, first: Pfn, mapper_id: u64, va: VAddr, attrs: &[u8]) {
+        self.visit(first, attrs.len() as u64, true, |i, rec| {
+            let va = va + i as u64 * self.page;
             rec.retain(|e| e.is_live() && !(e.mapper_id == mapper_id && e.va == va));
-            rec.attrs |= attrs;
+            rec.attrs |= attrs[i];
         });
     }
 
-    /// Take (remove and return) every live entry for `frame`; `forget`
-    /// also clears its stolen attribute bits.
-    fn drain(&self, frame: Pfn, forget: bool) -> Vec<PvEntry> {
-        let mut entries = self
-            .visit(frame, |rec| {
-                if forget {
-                    rec.attrs = 0;
-                }
-                rec.take()
-            })
-            .unwrap_or_default();
-        entries.retain(PvEntry::is_live);
-        entries
+    /// Take (remove and return, as runs) every live entry of frames
+    /// `first..first + n`, and clear the `forget` bits from their stolen
+    /// attributes.
+    pub fn take(&self, first: Pfn, n: u64, forget: u8) -> Vec<PvRun> {
+        let mut runs = Vec::new();
+        self.visit(first, n, false, |i, rec| {
+            rec.attrs &= !forget;
+            for e in rec.take().filter(PvEntry::is_live) {
+                join(&mut runs, Pfn(first.0 + i as u64), e, self.page);
+            }
+        });
+        runs
     }
 
-    /// Take (remove and return) every live entry for `frame`, keeping its
-    /// stolen attribute bits.
-    pub fn take(&self, frame: Pfn) -> Vec<PvEntry> {
-        self.drain(frame, false)
+    /// Copy every live entry of frames `first..first + n`, as runs, and
+    /// return them with the frames' stolen attribute bits OR-ed together;
+    /// then clear the `forget` bits from those attributes.
+    pub fn list(&self, first: Pfn, n: u64, forget: u8) -> (u8, Vec<PvRun>) {
+        let (mut attrs, mut runs) = (0, Vec::new());
+        self.visit(first, n, false, |i, rec| {
+            attrs |= rec.attrs;
+            rec.attrs &= !forget;
+            for e in rec.live() {
+                join(&mut runs, Pfn(first.0 + i as u64), e.clone(), self.page);
+            }
+        });
+        (attrs, runs)
     }
 
-    /// Take every live entry for `frame` and forget its stolen attribute
-    /// bits: the frame's whole record, in one visit.
-    pub fn release(&self, frame: Pfn) -> Vec<PvEntry> {
-        self.drain(frame, true)
+    /// Number of live mappings of frames `first..first + n`.
+    pub fn mapping_count(&self, first: Pfn, n: u64) -> usize {
+        let mut count = 0;
+        self.visit(first, n, false, |_, rec| count += rec.live().count());
+        count
     }
 
-    /// Copy (without removing) every live entry for `frame`.
-    pub fn list(&self, frame: Pfn) -> Vec<PvEntry> {
-        self.visit(frame, |rec| rec.live().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// Number of live mappings of `frame`.
-    pub fn mapping_count(&self, frame: Pfn) -> usize {
-        self.visit(frame, |rec| rec.live().count()).unwrap_or(0)
-    }
-
-    /// OR attribute bits into the stolen set for `frame`.
-    pub fn merge_attrs(&self, frame: Pfn, bits: u8) {
-        if bits == 0 {
+    /// OR `bits[i]` into the stolen attributes of frame `first + i`.
+    pub fn merge_attrs(&self, first: Pfn, bits: &[u8]) {
+        if bits.iter().all(|&b| b == 0) {
             return;
         }
-        self.update(frame, |rec| rec.attrs |= bits);
+        self.visit(first, bits.len() as u64, true, |i, rec| {
+            rec.attrs |= bits[i]
+        });
     }
 
-    /// Read the stolen attribute bits for `frame`.
-    pub fn attrs(&self, frame: Pfn) -> u8 {
-        self.visit(frame, |rec| rec.attrs).unwrap_or(0)
-    }
-
-    /// Clear some stolen attribute bits for `frame`.
-    pub fn clear_attrs(&self, frame: Pfn, bits: u8) {
-        self.visit(frame, |rec| rec.attrs &= !bits);
+    /// Clear the `bits` of frames `first..first + n`'s stolen attributes.
+    pub fn clear_attrs(&self, first: Pfn, n: u64, bits: u8) {
+        self.visit(first, n, false, |_, rec| rec.attrs &= !bits);
     }
 }
 
@@ -303,16 +372,16 @@ mod tests {
             drop(self.keep.lock().take());
             ID
         }
-        fn clear_hw(&self, _va: VAddr) -> (bool, bool) {
+        fn clear_hw(&self, _va: VAddr, _first: Pfn, _attrs: &mut [u8]) -> bool {
+            true
+        }
+        fn protect_hw(&self, _va: VAddr, _n: u64, _prot: HwProt) {}
+        fn read_mr(&self, _va: VAddr, _n: u64) -> (bool, bool) {
             (false, false)
         }
-        fn protect_hw(&self, _va: VAddr, _prot: HwProt) {}
-        fn read_mr(&self, _va: VAddr) -> (bool, bool) {
-            (false, false)
-        }
-        fn clear_mr(&self, _va: VAddr, _clear_mod: bool, _clear_ref: bool) {}
-        fn space_vpn(&self, va: VAddr) -> (u32, u64) {
-            (0, va.0)
+        fn clear_mr(&self, _va: VAddr, _n: u64, _clear_mod: bool, _clear_ref: bool) {}
+        fn space_vpn(&self, va: VAddr, n: u64, tags: &mut Vec<(u32, u64)>) {
+            tags.extend((0..n).map(|i| (0, va.0 + i)));
         }
         fn cpus_cached(&self) -> u64 {
             0
@@ -321,7 +390,7 @@ mod tests {
 
     impl Drop for SelfReleasing {
         fn drop(&mut self) {
-            self.pv.remove(FRAME, ID, VA, 0);
+            self.pv.remove(FRAME, ID, VA, &[0]);
         }
     }
 
@@ -340,17 +409,26 @@ mod tests {
                 keep: Mutex::new(None),
             });
             *m.keep.lock() = Some(Arc::clone(&m));
-            pv.add(FRAME, Arc::downgrade(&m) as Weak<dyn HwMapper>, ID, VA);
+            pv.add(
+                FRAME,
+                1,
+                &(Arc::downgrade(&m) as Weak<dyn HwMapper>),
+                ID,
+                VA,
+            );
             drop(m);
             // Another pmap's mapping of the same frame goes away.
-            pv.remove(FRAME, ID + 1, VAddr(0x4000), ATTR_REF);
-            let count = pv.mapping_count(FRAME);
+            pv.remove(FRAME, ID + 1, VAddr(0x4000), &[ATTR_REF]);
+            let count = pv.mapping_count(FRAME, 1);
             // Outside the table, the last reference may go: the
             // destructor's own removal then takes the entry out.
-            let m = pv.list(FRAME)[0].mapper.upgrade().expect("kept alive");
+            let m = pv.list(FRAME, 1, 0).1[0]
+                .mapper
+                .upgrade()
+                .expect("kept alive");
             assert_eq!(m.mapper_id(), ID);
             drop(m);
-            done.send((count, pv.mapping_count(FRAME), pv.attrs(FRAME)))
+            done.send((count, pv.mapping_count(FRAME, 1), pv.list(FRAME, 1, 0).0))
                 .expect("test waits");
         });
         let (before, after, attrs) = finished
@@ -512,25 +590,41 @@ mod tests {
         fn mapper_id(&self) -> u64 {
             self.0
         }
-        fn clear_hw(&self, _va: VAddr) -> (bool, bool) {
+        fn clear_hw(&self, _va: VAddr, _first: Pfn, _attrs: &mut [u8]) -> bool {
+            true
+        }
+        fn protect_hw(&self, _va: VAddr, _n: u64, _prot: HwProt) {}
+        fn read_mr(&self, _va: VAddr, _n: u64) -> (bool, bool) {
             (false, false)
         }
-        fn protect_hw(&self, _va: VAddr, _prot: HwProt) {}
-        fn read_mr(&self, _va: VAddr) -> (bool, bool) {
-            (false, false)
-        }
-        fn clear_mr(&self, _va: VAddr, _clear_mod: bool, _clear_ref: bool) {}
-        fn space_vpn(&self, va: VAddr) -> (u32, u64) {
-            (0, va.0)
+        fn clear_mr(&self, _va: VAddr, _n: u64, _clear_mod: bool, _clear_ref: bool) {}
+        fn space_vpn(&self, va: VAddr, n: u64, tags: &mut Vec<(u32, u64)>) {
+            tags.extend((0..n).map(|i| (0, va.0 + i)));
         }
         fn cpus_cached(&self) -> u64 {
             0
         }
     }
 
-    /// `(mapper_id, va)` of each entry.
-    fn ids(entries: &[PvEntry]) -> Vec<(u64, VAddr)> {
-        entries.iter().map(|e| (e.mapper_id, e.va)).collect()
+    /// Every `(frame, mapper_id, va)` the runs cover, sorted.
+    fn expand(runs: &[PvRun], page: u64) -> Vec<(u64, u64, VAddr)> {
+        let mut all: Vec<_> = runs
+            .iter()
+            .flat_map(|r| (0..r.n).map(move |i| (r.first.0 + i, r.mapper_id, r.va + i * page)))
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// Whether no two runs could be one: a run never continues another.
+    fn maximal(runs: &[PvRun], page: u64) -> bool {
+        runs.iter().all(|a| {
+            !runs.iter().any(|b| {
+                a.mapper_id == b.mapper_id
+                    && a.first.0 + a.n == b.first.0
+                    && a.va + a.n * page == b.va
+            })
+        })
     }
 
     /// What `frame`'s record stores, dead entries included, and its
@@ -545,27 +639,30 @@ mod tests {
             })
     }
 
-    /// A seeded stream of every `PvTable` call, on `n_frames` frames of
-    /// `page` bytes, checked after each call against a map from frame to
-    /// (stored entries, stolen bits). Three pmaps share a few frames at
-    /// three addresses, so frames gather aliases and duplicates; a pmap
-    /// is now and then dropped while still mapped, and `remove` must
-    /// prune its dead entries.
+    /// The reference for a pv table: frame → (stored entries, stolen bits).
+    type PvModel = HashMap<u64, (Vec<(u64, VAddr)>, u8)>;
+
+    /// A seeded stream of every `PvTable` call, each on a run of one to
+    /// three frames from one of a few starting frames at stripe and
+    /// table edges, checked after each call against a map from frame to
+    /// (stored entries, stolen bits). Three pmaps share the frames at
+    /// three addresses, so frames gather aliases and duplicates and runs
+    /// overlap and cross stripes; a pmap is now and then dropped while
+    /// still mapped, and `remove` must prune its dead entries.
     fn pv_matches_a_reference_model(page: u64, n_frames: u64, seed: u64) {
         const OPS: usize = 20_000;
         let pv = PvTable::new(page, n_frames);
         let stripe = (STRIPE_BYTES / page).max(1);
-        let mut frames = vec![
+        let mut starts = vec![
             0,
             stripe - 1,
             stripe,
             PV_SHARDS as u64 * stripe,
             PV_SHARDS as u64 * stripe + 1,
-            n_frames - 2,
+            n_frames - 3,
             n_frames - 1,
         ];
-        frames.dedup();
-        let frames: Vec<Pfn> = frames.into_iter().map(Pfn).collect();
+        starts.dedup();
         let mut next_id = 1;
         let mut pmaps: Vec<Arc<dyn HwMapper>> = (0..3)
             .map(|_| {
@@ -573,55 +670,106 @@ mod tests {
                 Arc::new(Stub(next_id)) as Arc<dyn HwMapper>
             })
             .collect();
-        let mut model: HashMap<u64, (Vec<(u64, VAddr)>, u8)> = HashMap::new();
+        let mut model = PvModel::new();
         let (mut most_pmaps, mut pruned, mut edges_mapped) = (0, 0, [false; 2]);
+        let (mut longest_run, mut crossed) = (0, false);
         let mut state = seed;
         for step in 0..OPS {
             let r = next(&mut state);
-            let frame = frames[(r >> 8) as usize % frames.len()];
+            let first = starts[(r >> 8) as usize % starts.len()];
+            let n = (1 + (r >> 40) % 3).min(n_frames - first);
+            let run: Vec<u64> = (first..first + n).collect();
             let k = (r >> 16) as usize % pmaps.len();
             let id = pmaps[k].mapper_id();
             let va = VAddr(0x1000 * ((r >> 24) % 3));
-            let bits = ((r >> 32) % 4) as u8;
+            let bits: Vec<u8> = (0..n).map(|i| ((r >> (32 + 2 * i)) % 4) as u8).collect();
             let live_ids: Vec<u64> = pmaps.iter().map(|m| m.mapper_id()).collect();
             let live = |e: &(u64, VAddr)| live_ids.contains(&e.0);
-            let want = model.entry(frame.0).or_default();
-            let want_live: Vec<(u64, VAddr)> = want.0.iter().copied().filter(live).collect();
-            let at = format!("step {step}: frame {frame:?}, op {}", r % 16);
+            let va_of = |i: usize| va + i as u64 * page;
+            let want_live = |model: &PvModel| {
+                let mut all: Vec<(u64, u64, VAddr)> = run
+                    .iter()
+                    .flat_map(|f| {
+                        let entries = model.get(f).map_or(&[][..], |w| &w.0[..]);
+                        entries
+                            .iter()
+                            .filter(|e| live(e))
+                            .map(move |&(id, va)| (*f, id, va))
+                    })
+                    .collect();
+                all.sort_unstable();
+                all
+            };
+            let want_attrs = |model: &PvModel| {
+                run.iter()
+                    .fold(0, |a, f| a | model.get(f).map_or(0, |w| w.1))
+            };
+            let at = format!("step {step}: frames {first}+{n}, op {}", r % 16);
+            let check_runs = |runs: &[PvRun], want: Vec<(u64, u64, VAddr)>| {
+                assert_eq!(expand(runs, page), want, "{at}");
+                assert!(maximal(runs, page), "{at}: runs {runs:?} not joined");
+                runs.iter().map(|r| r.n).max().unwrap_or(0)
+            };
+            let mut seen = 0;
             match r % 16 {
                 0..=4 => {
-                    pv.add(frame, Arc::downgrade(&pmaps[k]), id, va);
-                    if !want.0.contains(&(id, va)) {
-                        want.0.push((id, va));
+                    pv.add(Pfn(first), n, &Arc::downgrade(&pmaps[k]), id, va);
+                    for (i, f) in run.iter().enumerate() {
+                        let want = model.entry(*f).or_default();
+                        if !want.0.contains(&(id, va_of(i))) {
+                            want.0.push((id, va_of(i)));
+                        }
                     }
                 }
                 5..=7 => {
-                    pv.remove(frame, id, va, bits);
-                    let before = want.0.len();
-                    want.0.retain(|e| live(e) && *e != (id, va));
-                    pruned += before - want.0.len() - usize::from(want_live.contains(&(id, va)));
-                    want.1 |= bits;
+                    pv.remove(Pfn(first), id, va, &bits);
+                    for (i, f) in run.iter().enumerate() {
+                        let want = model.entry(*f).or_default();
+                        let was_live = want.0.iter().any(|e| live(e) && *e == (id, va_of(i)));
+                        let before = want.0.len();
+                        want.0.retain(|e| live(e) && *e != (id, va_of(i)));
+                        pruned += before - want.0.len() - usize::from(was_live);
+                        want.1 |= bits[i];
+                    }
                 }
-                8 => {
-                    assert_eq!(ids(&pv.take(frame)), want_live, "{at}");
-                    want.0.clear();
+                8 | 9 => {
+                    let forget = if r % 16 == 9 {
+                        ATTR_MOD | ATTR_REF
+                    } else {
+                        bits[0]
+                    };
+                    seen = check_runs(&pv.take(Pfn(first), n, forget), want_live(&model));
+                    for f in &run {
+                        let want = model.entry(*f).or_default();
+                        want.0.clear();
+                        want.1 &= !forget;
+                    }
                 }
-                9 => {
-                    assert_eq!(ids(&pv.release(frame)), want_live, "{at}");
-                    *want = (Vec::new(), 0);
+                10 | 11 => {
+                    let forget = if r % 16 == 11 { bits[0] } else { 0 };
+                    let (attrs, runs) = pv.list(Pfn(first), n, forget);
+                    assert_eq!(attrs, want_attrs(&model), "{at}");
+                    seen = check_runs(&runs, want_live(&model));
+                    assert_eq!(
+                        pv.mapping_count(Pfn(first), n),
+                        want_live(&model).len(),
+                        "{at}"
+                    );
+                    for f in &run {
+                        model.entry(*f).or_default().1 &= !forget;
+                    }
                 }
-                10 => {
-                    assert_eq!(ids(&pv.list(frame)), want_live, "{at}");
-                    assert_eq!(pv.mapping_count(frame), want_live.len(), "{at}");
+                12 => {
+                    pv.merge_attrs(Pfn(first), &bits);
+                    for (i, f) in run.iter().enumerate() {
+                        model.entry(*f).or_default().1 |= bits[i];
+                    }
                 }
-                11 => {
-                    pv.merge_attrs(frame, bits);
-                    want.1 |= bits;
-                }
-                12 => assert_eq!(pv.attrs(frame), want.1, "{at}"),
                 13 => {
-                    pv.clear_attrs(frame, bits);
-                    want.1 &= !bits;
+                    pv.clear_attrs(Pfn(first), n, bits[0]);
+                    for f in &run {
+                        model.entry(*f).or_default().1 &= !bits[0];
+                    }
                 }
                 _ => {
                     // The pmap goes while still mapped; its entries die.
@@ -629,23 +777,29 @@ mod tests {
                     pmaps[k] = Arc::new(Stub(next_id));
                 }
             }
-            assert_eq!(stored(&pv, frame), *want, "{at}");
-            let mut distinct: Vec<u64> = want.0.iter().map(|e| e.0).collect();
-            distinct.sort_unstable();
-            distinct.dedup();
-            most_pmaps = most_pmaps.max(distinct.len());
-            if !want.0.is_empty() {
-                edges_mapped[0] |= frame.0 == 0;
-                edges_mapped[1] |= frame.0 == n_frames - 1;
+            longest_run = longest_run.max(seen);
+            crossed |= seen > 1 && first % stripe == stripe - 1;
+            for f in &run {
+                let want = model.get(f).cloned().unwrap_or_default();
+                assert_eq!(stored(&pv, Pfn(*f)), want, "{at}: frame {f}");
+                let mut distinct: Vec<u64> = want.0.iter().map(|e| e.0).collect();
+                distinct.sort_unstable();
+                distinct.dedup();
+                most_pmaps = most_pmaps.max(distinct.len());
+                if !want.0.is_empty() {
+                    edges_mapped[0] |= *f == 0;
+                    edges_mapped[1] |= *f == n_frames - 1;
+                }
             }
         }
-        for &frame in &frames {
-            let want = model.get(&frame.0).cloned().unwrap_or_default();
-            assert_eq!(stored(&pv, frame), want, "{frame:?} at the end");
+        for (&f, want) in &model {
+            assert_eq!(stored(&pv, Pfn(f)), *want, "frame {f} at the end");
         }
         assert!(most_pmaps >= 3, "three pmaps met on a frame");
         assert!(pruned > 0, "remove pruned a dropped pmap's entries");
         assert_eq!(edges_mapped, [true; 2], "frame 0 and the last frame mapped");
+        assert_eq!(longest_run, 3, "a run of three frames read out as one run");
+        assert!(crossed, "a run read out across a stripe edge");
     }
 
     /// uVAX II frames: eight 512-byte frames to a stripe, and a frame
@@ -661,14 +815,66 @@ mod tests {
         pv_matches_a_reference_model(8192, 100, 0xF00D);
     }
 
-    /// Every call takes its frame's shard lock exactly once, and a
-    /// zero-bit `merge_attrs` none: BENCH `locks` rows count these.
+    /// Reading a page's entries out joins each pmap's mappings of
+    /// consecutive frames at consecutive pages into one run, and no more:
+    /// a pmap mapping the page at two addresses, or mapping part of it,
+    /// has a run for each.
     #[test]
-    fn each_call_takes_its_shard_lock_once() {
+    fn entries_read_out_as_runs() {
+        const PAGE: u64 = 512;
+        let pv = PvTable::new(PAGE, 64);
+        let (a, b): (Arc<dyn HwMapper>, Arc<dyn HwMapper>) = (Arc::new(Stub(1)), Arc::new(Stub(2)));
+        pv.add(Pfn(8), 8, &Arc::downgrade(&a), 1, VAddr(0x10000));
+        pv.add(Pfn(8), 8, &Arc::downgrade(&a), 1, VAddr(0x20000));
+        pv.add(Pfn(10), 3, &Arc::downgrade(&b), 2, VAddr(0x4000));
+        pv.add(Pfn(14), 2, &Arc::downgrade(&b), 2, VAddr(0x4000 + 4 * PAGE));
+        let shape = |runs: Vec<PvRun>| -> Vec<(u64, VAddr, u64, u64)> {
+            runs.iter()
+                .map(|r| (r.mapper_id, r.va, r.first.0, r.n))
+                .collect()
+        };
+        let want = vec![
+            (1, VAddr(0x10000), 8, 8),
+            (1, VAddr(0x20000), 8, 8),
+            (2, VAddr(0x4000), 10, 3),
+            (2, VAddr(0x4000 + 4 * PAGE), 14, 2),
+        ];
+        assert_eq!(shape(pv.list(Pfn(8), 8, 0).1), want);
+        assert_eq!(pv.mapping_count(Pfn(8), 8), 21);
+        // Part of the page: the runs are cut to it.
+        assert_eq!(
+            shape(pv.list(Pfn(11), 2, 0).1),
+            vec![
+                (1, VAddr(0x10000 + 3 * PAGE), 11, 2),
+                (1, VAddr(0x20000 + 3 * PAGE), 11, 2),
+                (2, VAddr(0x4000 + PAGE), 11, 2)
+            ]
+        );
+        pv.remove(Pfn(9), 1, VAddr(0x10000 + PAGE), &[ATTR_MOD]);
+        assert_eq!(
+            shape(pv.take(Pfn(8), 8, 0)),
+            vec![
+                (1, VAddr(0x10000), 8, 1),
+                (1, VAddr(0x20000), 8, 8),
+                (1, VAddr(0x10000 + 2 * PAGE), 10, 6),
+                (2, VAddr(0x4000), 10, 3),
+                (2, VAddr(0x4000 + 4 * PAGE), 14, 2),
+            ]
+        );
+        let (attrs, runs) = pv.list(Pfn(8), 8, 0);
+        assert_eq!((attrs, runs.len()), (ATTR_MOD, 0), "taken, the bits stay");
+    }
+
+    /// Each call locks its run's shard once per stripe the run covers,
+    /// and an all-zero `merge_attrs` none: BENCH `locks` rows count these.
+    #[test]
+    fn each_call_takes_its_shard_lock_once_per_stripe() {
         let machine = Machine::boot(MachineModel::micro_vax_ii());
         let page = machine.hw_page_size();
+        let stripe = STRIPE_BYTES / page;
         let pv = PvTable::new(page, machine.phys().size() / page);
         let m: Arc<dyn HwMapper> = Arc::new(Stub(1));
+        let m = Arc::downgrade(&m);
         let _bound = machine.bind_cpu(0);
         machine.locks.enable();
         let acquisitions = || machine.locks.report()[LockSite::PvShard.rank()].acquisitions;
@@ -678,30 +884,36 @@ mod tests {
             assert_eq!(now - last, n, "{call}");
             last = now;
         };
-        pv.add(FRAME, Arc::downgrade(&m), 1, VA);
-        took(1, "add");
-        pv.add(FRAME, Arc::downgrade(&m), 1, VAddr(0x4000));
-        took(1, "add of an alias");
-        pv.list(FRAME);
-        took(1, "list");
-        pv.mapping_count(FRAME);
-        took(1, "mapping_count");
-        pv.merge_attrs(FRAME, 0);
-        took(0, "zero-bit merge_attrs");
-        pv.merge_attrs(FRAME, ATTR_MOD);
-        took(1, "merge_attrs");
-        pv.attrs(FRAME);
-        took(1, "attrs");
-        pv.clear_attrs(FRAME, ATTR_MOD);
-        took(1, "clear_attrs");
-        pv.remove(FRAME, 1, VA, ATTR_REF);
-        took(1, "remove");
-        pv.take(FRAME);
-        took(1, "take");
-        pv.release(FRAME);
-        took(1, "release");
-        pv.attrs(Pfn(9999));
-        took(1, "attrs of a frame in an unwritten shard");
+        let (page_first, across) = (Pfn(stripe), Pfn(stripe + stripe / 2));
+        let zeros = vec![0; stripe as usize];
+        let mods = vec![ATTR_MOD; stripe as usize];
+        for (first, stripes) in [(FRAME, 1), (page_first, 1), (across, 2)] {
+            let n = if first == FRAME { 1 } else { stripe };
+            let va = VAddr(0x10000 * first.0);
+            let at = |call: &str| format!("{call} of {n} frames from {first:?}");
+            pv.add(first, n, &m, 1, va);
+            took(stripes, &at("add"));
+            pv.add(first, n, &m, 1, va + 0x1000);
+            took(stripes, &at("add of an alias"));
+            pv.list(first, n, 0);
+            took(stripes, &at("list"));
+            pv.mapping_count(first, n);
+            took(stripes, &at("mapping_count"));
+            pv.merge_attrs(first, &zeros[..n as usize]);
+            took(0, &at("all-zero merge_attrs"));
+            pv.merge_attrs(first, &mods[..n as usize]);
+            took(stripes, &at("merge_attrs"));
+            pv.clear_attrs(first, n, ATTR_MOD);
+            took(stripes, &at("clear_attrs"));
+            pv.remove(first, 1, va, &mods[..n as usize]);
+            took(stripes, &at("remove"));
+            pv.take(first, n, 0);
+            took(stripes, &at("take"));
+            pv.take(first, n, ATTR_MOD | ATTR_REF);
+            took(stripes, &at("take, forgetting"));
+        }
+        pv.list(Pfn(9999), 1, 0);
+        took(1, "list of a frame in an unwritten shard");
         machine.locks.disable();
     }
 }

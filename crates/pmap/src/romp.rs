@@ -307,12 +307,12 @@ impl HwTables for RompTables {
         if w0 & TAG_VALID != 0 {
             let old_tag = w0 & 0x1FFF_FFFF;
             let flags = chain_unlink(phys, l, pfn.0 as u32, old_tag);
-            self.core.pv.merge_attrs(pfn, flag_attrs(flags));
+            self.core.pv.merge_attrs(pfn, &[flag_attrs(flags)]);
             // Found by identity, not by upgrading the entry: the upgraded
             // `Arc` could be the victim's last, and its destructor takes
             // this world lock.
-            for e in self.core.pv.take(pfn) {
-                if let Some(sw) = g.w.pmaps.get(&e.mapper_id) {
+            for run in self.core.pv.take(pfn, 1, 0) {
+                if let Some(sw) = g.w.pmaps.get(&run.mapper_id) {
                     let _ = sw.shared.resident.fetch_update(
                         Ordering::Relaxed,
                         Ordering::Relaxed,

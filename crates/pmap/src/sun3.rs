@@ -156,7 +156,7 @@ impl Sun3Tables {
                 let attrs = attr_bits(pte.modified, pte.referenced);
                 self.core
                     .pv
-                    .remove(Pfn(pte.pfn as u64), owner_id, va, attrs);
+                    .remove(Pfn(pte.pfn as u64), owner_id, va, &[attrs]);
                 vpns.push(va.0 / PAGE);
             }
             mmu.pmegs[pmeg as usize][idx] = Sun3Pte::default();

@@ -1,6 +1,7 @@
-//! Entering and removing a singly-mapped frame allocates nothing once
-//! the frame's pv shard holds its records: the frame's first mapping
-//! lives inline in its record, found by frame number.
+//! Entering and removing a singly-mapped frame, or a run of them,
+//! allocates nothing once the frames' pv shards hold their records: a
+//! frame's first mapping lives inline in its record, found by frame
+//! number.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -9,7 +10,7 @@ use std::sync::Arc;
 
 use mach_hw::addr::{HwProt, VAddr};
 use mach_hw::Pfn;
-use mach_pmap::pv::{PvTable, ATTR_REF};
+use mach_pmap::pv::{PvTable, ATTR_MOD, ATTR_REF};
 use mach_pmap::HwMapper;
 
 /// Allocations (and reallocations) made by threads while their
@@ -81,16 +82,16 @@ impl HwMapper for Stub {
     fn mapper_id(&self) -> u64 {
         ID
     }
-    fn clear_hw(&self, _va: VAddr) -> (bool, bool) {
+    fn clear_hw(&self, _va: VAddr, _first: Pfn, _attrs: &mut [u8]) -> bool {
+        true
+    }
+    fn protect_hw(&self, _va: VAddr, _n: u64, _prot: HwProt) {}
+    fn read_mr(&self, _va: VAddr, _n: u64) -> (bool, bool) {
         (false, false)
     }
-    fn protect_hw(&self, _va: VAddr, _prot: HwProt) {}
-    fn read_mr(&self, _va: VAddr) -> (bool, bool) {
-        (false, false)
-    }
-    fn clear_mr(&self, _va: VAddr, _clear_mod: bool, _clear_ref: bool) {}
-    fn space_vpn(&self, va: VAddr) -> (u32, u64) {
-        (0, va.0)
+    fn clear_mr(&self, _va: VAddr, _n: u64, _clear_mod: bool, _clear_ref: bool) {}
+    fn space_vpn(&self, va: VAddr, n: u64, tags: &mut Vec<(u32, u64)>) {
+        tags.extend((0..n).map(|i| (0, va.0 + i)));
     }
     fn cpus_cached(&self) -> u64 {
         0
@@ -98,27 +99,30 @@ impl HwMapper for Stub {
 }
 
 /// 1 000 `add`+`remove` cycles on singly-mapped 512-byte frames, spread
-/// over every shard, allocate nothing after one warm-up pass. Half the
-/// frames leave their mapping clean; the other half come back
-/// referenced and are then freed, as `page_free` frees them.
+/// over every shard, allocate nothing after one warm-up pass, whether a
+/// cycle maps one frame or a 4 KB Mach page's run of eight. Half the
+/// runs leave their mapping clean; the other half come back referenced
+/// and are then freed, as `page_free` frees them.
 #[test]
 fn add_remove_of_singly_mapped_frames_allocates_nothing() {
     const CYCLES: u64 = 1_000;
-    let pv = PvTable::new(512, 4096);
+    let pv = PvTable::new(512, 8 * 4096);
     let pmap: Arc<dyn HwMapper> = Arc::new(Stub);
     let weak = Arc::downgrade(&pmap);
-    let cycles = || {
+    let cycles = |n: u64| {
         for i in 0..CYCLES {
-            let (frame, va) = (Pfn(i), VAddr(0x10000 + i * 512));
-            pv.add(frame, weak.clone(), ID, va);
-            let attrs = if i % 2 == 1 { ATTR_REF } else { 0 };
-            pv.remove(frame, ID, va, attrs);
-            if attrs != 0 {
-                assert!(pv.release(frame).is_empty());
+            let (first, va) = (Pfn(i * n), VAddr(0x10000 + i * n * 512));
+            pv.add(first, n, &weak, ID, va);
+            let attrs = if i % 2 == 1 { [ATTR_REF; 8] } else { [0; 8] };
+            pv.remove(first, ID, va, &attrs[..n as usize]);
+            if attrs[0] != 0 {
+                assert!(pv.take(first, n, ATTR_MOD | ATTR_REF).is_empty());
             }
         }
     };
-    cycles();
-    assert_eq!(allocations(cycles), 0);
-    assert_eq!(pv.mapping_count(Pfn(0)) + pv.mapping_count(Pfn(1)), 0);
+    for n in [1, 8] {
+        cycles(n);
+        assert_eq!(allocations(|| cycles(n)), 0, "runs of {n}");
+        assert_eq!(pv.mapping_count(Pfn(0), 2 * n), 0);
+    }
 }

@@ -9,6 +9,9 @@
 //! ```text
 //! cargo run --example multiprocessor
 //! ```
+//!
+//! It exits non-zero if a write slipped past a shootdown or a shootdown
+//! timed out; CI runs it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -105,12 +108,15 @@ fn main() {
         "no write slipped a protection window"
     );
 
+    let timeouts = machine.stats.shootdown_timeouts.load(Ordering::Relaxed);
     println!(
-        "protection toggles: {toggles}; IPIs sent {} / handled {}; shootdown timeouts {}",
+        "protection toggles: {toggles}; IPIs sent {} / handled {}; shootdown timeouts {timeouts}",
         machine.stats.ipis_sent.load(Ordering::Relaxed),
         machine.stats.ipis_handled.load(Ordering::Relaxed),
-        machine.stats.shootdown_timeouts.load(Ordering::Relaxed),
     );
+    // A timed-out round flushed its stuck CPUs by force: a protocol bug
+    // that the forced flush hides from the check above.
+    assert_eq!(timeouts, 0, "every shootdown was acknowledged");
     let s = kernel.statistics();
     println!(
         "faults {} (the workers refault after each shootdown and heal lazily)",

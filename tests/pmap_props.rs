@@ -8,7 +8,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mach_hw::machine::{Machine, MachineModel};
-use mach_hw::{HwProt, PAddr, VAddr};
+use mach_hw::{HwProt, PAddr, Pfn, VAddr};
 use mach_pmap::Pmap;
 use mach_vm::kernel::Kernel;
 use proptest::prelude::*;
@@ -389,6 +389,276 @@ proptest! {
                     prop_assert!(machine.load_u32(va).is_err());
                 }
             }
+        }
+    }
+}
+
+/// splitmix64: a seeded, dependency-free operation stream.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Physical Mach pages the physical-page model drives.
+const PHYS_PAGES: u64 = 3;
+/// Virtual Mach pages each of its pmaps can map.
+const VIRT_PAGES: u64 = 4;
+
+/// The reference for the physical-page operations, in hardware pages:
+/// what each pmap maps at each virtual hardware page, and each frame's
+/// modify/reference bits.
+struct PhysModel {
+    /// (pmap, virtual hardware page) → (frame, writable).
+    maps: HashMap<(usize, u64), (u64, bool)>,
+    /// Per frame: (modified, referenced).
+    bits: Vec<(bool, bool)>,
+    /// Whether entering a frame evicts its other mappings (the RT PC).
+    one_mapping_per_frame: bool,
+}
+
+impl PhysModel {
+    fn unmap_frames(&mut self, frames: std::ops::Range<u64>) {
+        self.maps.retain(|_, (f, _)| !frames.contains(f));
+    }
+
+    fn mappings_of(&self, frame: u64) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.maps
+            .iter()
+            .filter(move |(_, &(f, _))| f == frame)
+            .map(|(&at, _)| at)
+    }
+}
+
+/// Drive two pmaps of `model`'s port, on Mach pages of `k` hardware
+/// frames, with a seeded mix of `enter`, `remove` and `protect` (of whole
+/// and partial Mach pages) and every physical-page operation, and check
+/// after each step against [`PhysModel`]: every frame's mapping count
+/// and modify/reference bits, every virtual page's `extract` in both
+/// pmaps, and a load and a store through pmap 0, which runs on the bound
+/// CPU. Pages end up mapped by both pmaps and, except on the RT PC, by
+/// one pmap at two addresses, so the operations meet runs of several
+/// shapes; a TLB entry a coalesced flush left behind shows up as a load
+/// or store the model says must fault, or as a modify/reference bit
+/// the access failed to set.
+fn physical_page_ops_match_model(model: MachineModel, k: u64, seed: u64, steps: usize) {
+    let machine = Machine::boot(model);
+    let md = mach_pmap::machdep_for(&machine);
+    let hw = machine.hw_page_size();
+    let mach_page = k * hw;
+    let frames = PHYS_PAGES * k;
+    let run = machine
+        .frames()
+        .alloc_contig(frames + k)
+        .expect("contiguous frames");
+    let base = run.0.next_multiple_of(k);
+    let frame_pa = |f: u64| Pfn(base + f).base(hw);
+    let page_pa = |p: u64| frame_pa(p * k);
+    let stamp = |f: u64| 0x5EED_0000 | f as u32;
+    for f in 0..frames {
+        machine
+            .phys()
+            .write(frame_pa(f), &stamp(f).to_le_bytes())
+            .unwrap();
+    }
+    let va = |v: u64| VAddr(0x10_0000 + v * hw);
+    let _b = machine.bind_cpu(0);
+    let pmaps = [md.create(), md.create()];
+    pmaps[0].activate(0);
+    let mut m = PhysModel {
+        maps: HashMap::new(),
+        bits: vec![(false, false); frames as usize],
+        one_mapping_per_frame: machine.kind() == mach_hw::ArchKind::Romp,
+    };
+    let (mut shared_by_two, mut aliased_in_one) = (false, false);
+    let mut state = seed;
+    for step in 0..steps {
+        let r = next(&mut state);
+        let p = (r >> 8) as usize % 2;
+        let page = (r >> 16) % PHYS_PAGES;
+        let page_frames = page * k..(page + 1) * k;
+        let op = r % 16;
+        match op {
+            0..=4 => {
+                let slot = (r >> 24) % VIRT_PAGES;
+                let writable = r & (1 << 40) != 0;
+                let prot = if writable {
+                    HwProt::READ | HwProt::WRITE
+                } else {
+                    HwProt::READ
+                };
+                pmaps[p].enter(va(slot * k), page_pa(page), mach_page, prot, false);
+                if m.one_mapping_per_frame {
+                    m.unmap_frames(page_frames.clone());
+                }
+                for i in 0..k {
+                    m.maps.insert((p, slot * k + i), (page * k + i, writable));
+                }
+            }
+            5 | 6 => {
+                // Whole or partial Mach pages, at hardware-page grain.
+                let v = (r >> 24) % (VIRT_PAGES * k);
+                let end = (v + 1 + (r >> 32) % (k + 2)).min(VIRT_PAGES * k);
+                let prot = [HwProt::NONE, HwProt::READ, HwProt::READ | HwProt::WRITE]
+                    [(r >> 44) as usize % 3];
+                if op == 5 || prot.is_none() {
+                    if op == 5 {
+                        pmaps[p].remove(va(v), va(end));
+                    } else {
+                        pmaps[p].protect(va(v), va(end), prot);
+                    }
+                    for v in v..end {
+                        m.maps.remove(&(p, v));
+                    }
+                } else {
+                    pmaps[p].protect(va(v), va(end), prot);
+                    for v in v..end {
+                        if let Some(e) = m.maps.get_mut(&(p, v)) {
+                            e.1 = prot.allows_write();
+                        }
+                    }
+                }
+            }
+            7 => {
+                md.remove_all(page_pa(page), mach_page);
+                m.unmap_frames(page_frames);
+            }
+            8 => {
+                let pending = md.remove_all_deferred(page_pa(page), mach_page);
+                if r & (1 << 40) != 0 {
+                    md.complete(&pending);
+                } else {
+                    md.update();
+                }
+                assert!(
+                    pending.is_complete(),
+                    "step {step}: deferred flush still pending"
+                );
+                m.unmap_frames(page_frames);
+            }
+            9 => {
+                md.page_free(page_pa(page), mach_page);
+                m.unmap_frames(page_frames.clone());
+                for f in page_frames {
+                    m.bits[f as usize] = (false, false);
+                }
+            }
+            10 | 11 => {
+                md.copy_on_write(page_pa(page), mach_page);
+                for (f, w) in m.maps.values_mut() {
+                    *w &= !page_frames.contains(f);
+                }
+            }
+            12 | 13 => {
+                md.clear_modify(page_pa(page), mach_page);
+                for f in page_frames {
+                    m.bits[f as usize].0 = false;
+                }
+            }
+            _ => {
+                md.clear_reference(page_pa(page), mach_page);
+                for f in page_frames {
+                    m.bits[f as usize].1 = false;
+                }
+            }
+        }
+
+        let at = |what: &str| format!("step {step} (op {op}, k {k}, seed {seed:#x}): {what}");
+        for f in 0..frames {
+            let mut owners: Vec<(usize, u64)> = m.mappings_of(f).collect();
+            assert_eq!(
+                md.mapping_count(frame_pa(f)),
+                owners.len(),
+                "{}",
+                at(&format!("mapping count of frame {f}"))
+            );
+            let (modified, referenced) = m.bits[f as usize];
+            assert_eq!(
+                md.is_modified(frame_pa(f), hw),
+                modified,
+                "{}",
+                at(&format!("modify bit of frame {f}"))
+            );
+            assert_eq!(
+                md.is_referenced(frame_pa(f), hw),
+                referenced,
+                "{}",
+                at(&format!("reference bit of frame {f}"))
+            );
+            owners.sort_unstable();
+            shared_by_two |= owners.first().map(|o| o.0) != owners.last().map(|o| o.0);
+            aliased_in_one |= owners.windows(2).any(|w| w[0].0 == w[1].0);
+        }
+        for (p, pmap) in pmaps.iter().enumerate() {
+            for v in 0..VIRT_PAGES * k {
+                let want = m.maps.get(&(p, v)).map(|&(f, _)| frame_pa(f));
+                assert_eq!(
+                    pmap.extract(va(v)),
+                    want,
+                    "{}",
+                    at(&format!("extract of page {v} in pmap {p}"))
+                );
+            }
+        }
+        for v in 0..VIRT_PAGES * k {
+            match m.maps.get(&(0, v)).copied() {
+                Some((f, writable)) => {
+                    let got = machine.load_u32(va(v));
+                    assert_eq!(
+                        got.ok(),
+                        Some(stamp(f)),
+                        "{}",
+                        at(&format!("load of page {v}"))
+                    );
+                    let stored = machine.store_u32(va(v), stamp(f)).is_ok();
+                    assert_eq!(stored, writable, "{}", at(&format!("store to page {v}")));
+                    let bits = &mut m.bits[f as usize];
+                    bits.1 = true;
+                    bits.0 |= stored;
+                }
+                None => {
+                    assert!(
+                        machine.load_u32(va(v)).is_err(),
+                        "{}",
+                        at(&format!("load of unmapped page {v}"))
+                    );
+                    assert!(
+                        machine.store_u32(va(v), 0).is_err(),
+                        "{}",
+                        at(&format!("store to unmapped page {v}"))
+                    );
+                }
+            }
+        }
+    }
+    // The RT PC keeps one mapping per frame.
+    let shares = !m.one_mapping_per_frame;
+    assert_eq!(shared_by_two, shares, "a frame was mapped by both pmaps");
+    assert_eq!(
+        aliased_in_one, shares,
+        "a frame was mapped by one pmap at two addresses"
+    );
+    pmaps[0].deactivate(0);
+}
+
+/// [`physical_page_ops_match_model`] on all five ports, at one, two and
+/// eight hardware frames per Mach page.
+#[test]
+fn physical_page_operations_match_a_model_on_every_port() {
+    for (i, model) in [
+        MachineModel::micro_vax_ii(),
+        MachineModel::rt_pc(),
+        MachineModel::sun_3_160(),
+        MachineModel::multimax(1),
+        MachineModel::rp3(1),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        for k in [1, 2, 8] {
+            physical_page_ops_match_model(model.clone(), k, 0xC0FFEE + i as u64 * 16 + k, 300);
         }
     }
 }
