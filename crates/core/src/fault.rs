@@ -58,9 +58,9 @@ pub(crate) fn insert_busy(ctx: &CoreRefs, obj: &Arc<VmObject>, offset: u64) -> I
     }
 }
 
-/// Fill a page's frame with `data` (or zeros) and un-busy it, waking
-/// waiters. Marks the page dirty when the content is "precious" — the
-/// only copy of internal-object data.
+/// Fill a page's frame with `data` (or zeros) and [`release_busy`] it.
+/// Marks the page dirty when the content is "precious" — the only copy
+/// of internal-object data.
 pub(crate) fn fill_and_release(
     ctx: &CoreRefs,
     obj: &Arc<VmObject>,
@@ -84,29 +84,19 @@ pub(crate) fn fill_and_release(
         }
         None => ctx.machdep.zero_page(pa, ctx.page_size),
     }
-    let _s = obj.lock();
-    ctx.resident.with_page(page, |p| {
-        p.busy = false;
-        p.wanted = false;
-        if dirty {
-            p.dirty = true;
-        }
-    });
-    obj.busy_wakeup.notify_all();
+    release_busy(ctx, obj, page, dirty);
 }
 
-/// Un-busy a page whose frame was filled out of band (e.g. by
-/// `pmap_copy_page`), waking waiters.
-pub(crate) fn release_busy(ctx: &CoreRefs, obj: &Arc<VmObject>, page: PageId, dirty: bool) {
+/// Un-busy `page` of `obj` (a fill, a claim or a fault's hold ends),
+/// setting its dirty hint when `dirty`, and wake the object's waiters if
+/// one of them set `wanted`. A waiter checks `busy` and goes to sleep
+/// without letting go of the object lock, so releasing under that lock
+/// orders the wakeup after its check.
+pub(crate) fn release_busy(ctx: &CoreRefs, obj: &VmObject, page: PageId, dirty: bool) {
     let _s = obj.lock();
-    ctx.resident.with_page(page, |p| {
-        p.busy = false;
-        p.wanted = false;
-        if dirty {
-            p.dirty = true;
-        }
-    });
-    obj.busy_wakeup.notify_all();
+    if ctx.resident.release(page, dirty) {
+        obj.busy_wakeup.notify_all();
+    }
 }
 
 /// Supply externally-provided data for `(obj, offset)`
@@ -154,18 +144,13 @@ pub(crate) fn claim_supply(ctx: &CoreRefs, obj: &Arc<VmObject>, offset: u64) -> 
 
 /// Drop a busy placeholder page after a failed pager interaction.
 fn abort_busy(ctx: &CoreRefs, obj: &Arc<VmObject>, offset: u64, page: PageId) {
-    {
-        let mut s = obj.lock();
-        if s.resident.get(&offset) == Some(&page) {
-            s.resident.remove(&offset);
-        }
-        ctx.resident.with_page(page, |p| {
-            p.busy = false;
-            p.wanted = false;
-        });
+    let mut s = obj.lock();
+    if s.resident.get(&offset) == Some(&page) {
+        s.resident.remove(&offset);
+    }
+    if ctx.resident.free_page(page) {
         obj.busy_wakeup.notify_all();
     }
-    ctx.resident.free_page(page);
 }
 
 /// Wait until `page` of `obj` stops being busy.
@@ -570,15 +555,9 @@ fn fault_body(
                 drop(s);
                 continue 'restart; // evicted or replaced under us
             }
-            let claimed = ctx.resident.with_page(final_page, |p| {
-                if p.busy {
-                    p.wanted = true;
-                    false
-                } else {
-                    p.busy = true;
-                    true
-                }
-            });
+            let claimed = ctx
+                .resident
+                .with_page(final_page, |p| !std::mem::replace(&mut p.busy, true));
             if !claimed {
                 drop(s);
                 continue 'restart; // someone else is working on it

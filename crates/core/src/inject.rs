@@ -428,8 +428,9 @@ impl Injector {
             let Some(page) = ctx.resident.alloc(PRESSURE_OBJECT, off, Weak::new()) else {
                 break;
             };
-            // alloc hands the page back busy; it is ours, not in transit.
-            ctx.resident.with_page(page, |p| p.busy = false);
+            // alloc hands the page back busy; it is ours, not in transit,
+            // and in no object a fault could wait on.
+            ctx.resident.release(page, false);
             ctx.resident.wire(page);
             held.push(page);
             grabbed += 1;

@@ -155,6 +155,15 @@ impl VmObject {
         self.state.try_lock()
     }
 
+    /// Wake every fault asleep on this object. A fault checks what it
+    /// waits for (a busy page's `wanted`, `pager_dead`, a data lock) and
+    /// goes to sleep without letting go of the object lock, so taking the
+    /// lock first orders the wakeup after its check.
+    pub(crate) fn wake_waiters(&self) {
+        let _s = self.lock();
+        self.busy_wakeup.notify_all();
+    }
+
     /// Take an additional mapping reference.
     pub fn reference(&self) {
         self.lock().ref_count += 1;
@@ -178,35 +187,31 @@ impl VmObject {
     }
 }
 
-/// Free every resident page of a (being-terminated) object.
+/// Claim every resident page of `obj` (wired ones only when
+/// `allow_wired`), take it out of the object and free it, then wake every
+/// fault asleep on the object.
 ///
-/// Pages an in-flight pageout has claimed busy are skipped — the
-/// reclaimer frees them when its write completes (or, if the write
-/// fails, a later daemon pass frees them once the object's `Weak` goes
-/// dead). Claiming under the shard lock is what makes this safe against
-/// a concurrent `claim_evict`: exactly one side wins the frame.
-fn release_pages(obj: &VmObject, ctx: &CoreRefs) {
-    let victims: Vec<PageId> = {
-        let mut s = obj.lock();
-        let offsets: Vec<u64> = s.resident.keys().copied().collect();
-        let mut victims = Vec::new();
-        for off in offsets {
-            let page = s.resident[&off];
-            if ctx.resident.claim_teardown(page, true) {
-                s.resident.remove(&off);
-                victims.push(page);
-            }
+/// Pages an in-flight fill or pageout has claimed busy are skipped: their
+/// owner frees or releases them itself (a reclaimer frees its page when
+/// the write completes, or, if the write fails, a later daemon pass frees
+/// it once the object's `Weak` is dead). Claiming under the shard lock is
+/// what makes this safe against a concurrent `claim_evict`: exactly one
+/// side wins the frame.
+fn release_pages(obj: &VmObject, ctx: &CoreRefs, allow_wired: bool) {
+    let mut victims = Vec::new();
+    obj.lock().resident.retain(|_, &mut page| {
+        let claimed = ctx.resident.claim_teardown(page, allow_wired);
+        if claimed {
+            victims.push(page);
         }
-        victims
-    };
+        !claimed
+    });
     for page in victims {
         // No mapping (and no stale modify/reference attribute) may
         // survive the page's death.
-        let pa = page.base(ctx.page_size);
-        ctx.machdep.page_free(pa, ctx.page_size);
-        ctx.resident.with_page(page, |p| {
-            p.wire_count = 0;
-        });
+        ctx.machdep
+            .page_free(page.base(ctx.page_size), ctx.page_size);
+        ctx.resident.with_page(page, |p| p.wire_count = 0);
         ctx.resident.free_page(page);
     }
     obj.busy_wakeup.notify_all();
@@ -223,32 +228,15 @@ fn release_pages(obj: &VmObject, ctx: &CoreRefs) {
 /// (an in-flight fill or pageout) will release them against the dead
 /// flag. Idempotent; the caller must hold no object locks.
 pub fn quarantine(obj: &Arc<VmObject>, ctx: &CoreRefs) {
-    let victims: Vec<PageId> = {
+    {
         let mut s = obj.lock();
         if s.pager_dead {
             return;
         }
         s.pager_dead = true;
-        let offsets: Vec<u64> = s.resident.keys().copied().collect();
-        let mut victims = Vec::new();
-        for off in offsets {
-            let page = s.resident[&off];
-            // Atomic claim: a page a concurrent reclaimer has already
-            // claimed busy is left to that reclaimer.
-            if ctx.resident.claim_teardown(page, false) {
-                s.resident.remove(&off);
-                victims.push(page);
-            }
-        }
-        victims
-    };
-    for page in victims {
-        let pa = page.base(ctx.page_size);
-        ctx.machdep.page_free(pa, ctx.page_size);
-        ctx.resident.free_page(page);
     }
     ctx.stats.pager_deaths.fetch_add(1, Ordering::Relaxed);
-    obj.busy_wakeup.notify_all();
+    release_pages(obj, ctx, false);
 }
 
 /// Terminate `obj`: free pages, notify the pager, release the shadow
@@ -279,7 +267,7 @@ fn finish_terminate(
     if let Some(ident) = pager.as_ref().and_then(|p| p.ident()) {
         ctx.cache.unregister_live(&ident, obj);
     }
-    release_pages(obj, ctx);
+    release_pages(obj, ctx, true);
     if let Some(p) = pager {
         // Trace first: `terminate` may tear down the pager-side binding
         // that `port_id` attributes the event to.
@@ -330,13 +318,7 @@ pub fn deallocate(obj: &Arc<VmObject>, ctx: &CoreRefs) {
         }
     } else {
         terminate(obj, ctx);
-        try_collapse_dropped(obj);
     }
-}
-
-fn try_collapse_dropped(_obj: &Arc<VmObject>) {
-    // Chains referencing the dead object were already fixed by
-    // `terminate` moving the shadow reference; nothing further to do.
 }
 
 /// Shadow-chain garbage collection (paper §3.5): "Mach automatically
@@ -424,7 +406,8 @@ fn collapse_level(obj: &Arc<VmObject>, ctx: &CoreRefs) {
                     let ooff = boff - delta;
                     ctx.resident
                         .rekey(page, obj.id(), ooff, Arc::downgrade(obj));
-                    s.resident.insert(ooff, page);
+                    let prev = s.resident.insert(ooff, page);
+                    assert!(prev.is_none(), "rekey target already occupied");
                 } else {
                     orphans.push(page);
                 }

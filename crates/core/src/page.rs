@@ -4,15 +4,30 @@
 //! contents of virtual memory objects." Each machine-independent page has
 //! an entry that may simultaneously be linked into:
 //!
-//! 1. a **memory object list** (kept in [`crate::object::VmObject`]),
+//! 1. a **memory object list** (kept in [`crate::object::VmObject`]), and
 //! 2. a **memory allocation queue** (free / active / inactive / wired,
-//!    kept here, used by the paging daemon), and
-//! 3. an **object/offset hash bucket** (kept here) for fast lookup at
-//!    page-fault time.
+//!    kept here, used by the paging daemon).
+//!
+//! The paper also hashes each page on (object, offset) for fast lookup at
+//! page-fault time. Here the object's own resident map
+//! ([`crate::object::ObjState::resident`], keyed by offset and read under
+//! the object lock the fault already holds) is that index, so this table
+//! keeps no second one. A page's [`PageIdentity`] is the back pointer the
+//! paging daemon follows from a queue to the object.
 //!
 //! A Mach page is a boot-time power-of-two multiple of the hardware page
 //! size and need not correspond to it (§3.1); this table deals only in
 //! Mach pages.
+//!
+//! # Busy pages
+//!
+//! A page being filled, cleaned, torn down or mapped is **busy**. A fault
+//! that finds it busy sets `wanted` and sleeps on the object's
+//! `busy_wakeup`, holding the object lock from its check until it sleeps.
+//! Every busy period ends in [`ResidentTable::release`] or
+//! [`ResidentTable::free_page`], which report whether `wanted` was set;
+//! only then does the caller wake the object's waiters, under the object
+//! lock (Mach's `PAGE_WAKEUP`).
 //!
 //! # Concurrency
 //!
@@ -22,9 +37,6 @@
 //! - **Page state and queues** live in [`QUEUE_SHARDS`] shards keyed by
 //!   page id; the active/inactive deques are per-shard so the pageout
 //!   daemon and faulting CPUs contend only within a shard.
-//! - **The (object, offset) hash** lives in [`HASH_SHARDS`] shards keyed
-//!   by a mix of object id and offset — the fault-time lookup path takes
-//!   exactly one shard lock.
 //! - **The free pool** is a per-CPU stack per possible CPU (slot picked
 //!   by [`mach_hw::machine::bound_cpu`]) refilled in batches of
 //!   [`REFILL_BATCH`] from a global reserve; when a local stack exceeds
@@ -35,11 +47,10 @@
 //!   [`ResidentTable::counts`] (called from `vm_statistics`, the daemon's
 //!   pacing check and the health gauges) never takes a shard lock.
 //!
-//! Lock order within this module: page-state shard → hash shard →
-//! free-list/reserve. No method ever holds two shards of the same kind at
-//! once. Callers (fault, pageout, object teardown) take the owning
-//! object's lock *before* any shard lock — see the lock hierarchy in
-//! DESIGN.md §8.
+//! Lock order within this module: page-state shard → free-list/reserve.
+//! No method ever holds two shards of the same kind at once. Callers
+//! (fault, pageout, object teardown) take the owning object's lock
+//! *before* any shard lock — see the lock hierarchy in DESIGN.md §8.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,8 +63,6 @@ use crate::object::VmObject;
 
 /// Page-state/queue shard count (power of two).
 pub const QUEUE_SHARDS: usize = 8;
-/// (object, offset) hash shard count (power of two).
-pub const HASH_SHARDS: usize = 8;
 /// Pages moved from the global reserve to a CPU's free stack per refill.
 pub const REFILL_BATCH: usize = 16;
 /// A CPU free stack above this spills half back to the global reserve.
@@ -106,7 +115,7 @@ pub struct PageInfo {
 /// The (object, offset) identity of a resident page.
 #[derive(Debug, Clone)]
 pub struct PageIdentity {
-    /// Owning object's id (hash key).
+    /// Owning object's id.
     pub object_id: u64,
     /// Byte offset within the object.
     pub offset: u64,
@@ -121,6 +130,47 @@ struct RtShard {
     pages: HashMap<u64, PageInfo>,
     active: VecDeque<u64>,
     inactive: VecDeque<u64>,
+}
+
+impl RtShard {
+    /// Take page `id` off queue `q`, keeping the shard's tally `t` in
+    /// step. The free pool lives outside the shards, so a free page is on
+    /// no queue here: unlinking one is a double free.
+    fn unlink(&mut self, t: &ShardTally, id: u64, q: PageQueue) {
+        match q {
+            PageQueue::Active => {
+                self.active.retain(|&p| p != id);
+                t.active.fetch_sub(1, Ordering::Relaxed);
+            }
+            PageQueue::Inactive => {
+                self.inactive.retain(|&p| p != id);
+                t.inactive.fetch_sub(1, Ordering::Relaxed);
+            }
+            PageQueue::Wired => {
+                t.wired.fetch_sub(1, Ordering::Relaxed);
+            }
+            PageQueue::Free => panic!("page {id} is already free"),
+        }
+    }
+
+    /// Put page `id` on the tail of queue `q`. Only
+    /// [`ResidentTable::free_page`] returns a page to the free pool.
+    fn link(&mut self, t: &ShardTally, id: u64, q: PageQueue) {
+        match q {
+            PageQueue::Active => {
+                self.active.push_back(id);
+                t.active.fetch_add(1, Ordering::Relaxed);
+            }
+            PageQueue::Inactive => {
+                self.inactive.push_back(id);
+                t.inactive.fetch_add(1, Ordering::Relaxed);
+            }
+            PageQueue::Wired => {
+                t.wired.fetch_add(1, Ordering::Relaxed);
+            }
+            PageQueue::Free => panic!("page {id}: only free_page frees a page"),
+        }
+    }
 }
 
 /// Relaxed queue-length counters for one shard, maintained under the
@@ -161,16 +211,12 @@ pub struct ResidentTable {
     /// Page state + queue segments, sharded by page id.
     shards: Vec<KernelMutex<RtShard>>,
     tallies: Vec<ShardTally>,
-    /// (object, offset) → page id, sharded by key hash.
-    hash: Vec<KernelMutex<HashMap<(u64, u64), u64>>>,
     /// Global free reserve (boot donations land here).
     reserve: KernelMutex<Vec<u64>>,
     /// Per-CPU free stacks, indexed by [`mach_hw::machine::bound_cpu`]
     /// modulo the slot count.
     locals: Vec<KernelMutex<Vec<u64>>>,
     free_len: AtomicU64,
-    lookups: AtomicU64,
-    hits: AtomicU64,
 }
 
 impl ResidentTable {
@@ -200,12 +246,9 @@ impl ResidentTable {
             page_size,
             shards: locks(QUEUE_SHARDS, LockSite::PageQueueShard),
             tallies: (0..QUEUE_SHARDS).map(|_| ShardTally::default()).collect(),
-            hash: locks(HASH_SHARDS, LockSite::PageHashShard),
             reserve: KernelMutex::new(LockSite::FreeReserve, Vec::new()),
             locals: locks(cpus.max(1), LockSite::FreeLocal),
             free_len: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
         }
     }
 
@@ -222,11 +265,6 @@ impl ResidentTable {
     #[inline]
     fn qs(&self, id: u64) -> usize {
         (mix(id) as usize) & (self.shards.len() - 1)
-    }
-
-    #[inline]
-    fn hs(&self, object_id: u64, offset: u64) -> usize {
-        (mix(object_id ^ offset.rotate_left(17)) as usize) & (self.hash.len() - 1)
     }
 
     #[inline]
@@ -269,14 +307,6 @@ impl ResidentTable {
             c.wired += t.wired.load(Ordering::Relaxed);
         }
         c
-    }
-
-    /// Object/offset hash lookups and hits so far.
-    pub fn lookup_stats(&self) -> (u64, u64) {
-        (
-            self.lookups.load(Ordering::Relaxed),
-            self.hits.load(Ordering::Relaxed),
-        )
     }
 
     /// Pop a free page id: local stack, then a batched refill from the
@@ -335,43 +365,22 @@ impl ResidentTable {
     /// **busy** on the active queue. `None` when the free pool is empty
     /// (the caller must reclaim and retry).
     ///
-    /// Callers serialize insertions for one (object, offset) with the
-    /// object lock, so the gap between the state update and the hash
-    /// insert is never observable for a racing fault on the same slot.
+    /// The caller enters the page in the object's resident map under the
+    /// object lock, which also serializes allocations for one offset.
     pub fn alloc(&self, object_id: u64, offset: u64, object: Weak<VmObject>) -> Option<PageId> {
         let id = self.take_free()?;
         let s = self.qs(id);
-        {
-            let mut g = self.shards[s].lock();
-            let info = g.pages.get_mut(&id).expect("free page exists");
-            info.queue = PageQueue::Active;
-            info.identity = Some(PageIdentity {
-                object_id,
-                offset,
-                object,
-            });
-            info.busy = true;
-            info.wanted = false;
-            info.dirty = false;
-            g.active.push_back(id);
-            self.tallies[s].active.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut h = self.hash[self.hs(object_id, offset)].lock();
-        debug_assert!(!h.contains_key(&(object_id, offset)));
-        h.insert((object_id, offset), id);
+        let mut g = self.shards[s].lock();
+        let info = g.pages.get_mut(&id).expect("free page exists");
+        info.queue = PageQueue::Active;
+        info.identity = Some(PageIdentity {
+            object_id,
+            offset,
+            object,
+        });
+        info.busy = true;
+        g.link(&self.tallies[s], id, PageQueue::Active);
         Some(PageId(id))
-    }
-
-    /// The paper's fast fault-time lookup: hash on (object, offset). One
-    /// shard lock, no global serialization.
-    pub fn lookup(&self, object_id: u64, offset: u64) -> Option<PageId> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let g = self.hash[self.hs(object_id, offset)].lock();
-        let r = g.get(&(object_id, offset)).map(|&id| PageId(id));
-        if r.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        r
     }
 
     /// Run `f` on the page's mutable state.
@@ -391,8 +400,8 @@ impl ResidentTable {
     /// (the daemon's refill sweep, a second-chance reactivation), so by
     /// the time the move runs the page may have been freed — or freed
     /// and be mid-`alloc` on another CPU. A free page leaves the free
-    /// pool only through [`ResidentTable::alloc`]; anything else would
-    /// race the free-list bookkeeping.
+    /// pool only through [`ResidentTable::alloc`], and enters it only
+    /// through [`ResidentTable::free_page`].
     pub fn set_queue(&self, id: PageId, queue: PageQueue) {
         let s = self.qs(id.0);
         let mut g = self.shards[s].lock();
@@ -402,71 +411,46 @@ impl ResidentTable {
             return;
         }
         info.queue = queue;
-        match old {
-            PageQueue::Active => {
-                g.active.retain(|&p| p != id.0);
-                self.tallies[s].active.fetch_sub(1, Ordering::Relaxed);
-            }
-            PageQueue::Inactive => {
-                g.inactive.retain(|&p| p != id.0);
-                self.tallies[s].inactive.fetch_sub(1, Ordering::Relaxed);
-            }
-            PageQueue::Free => unreachable!("guarded above"),
-            PageQueue::Wired => {
-                self.tallies[s].wired.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        match queue {
-            PageQueue::Active => {
-                g.active.push_back(id.0);
-                self.tallies[s].active.fetch_add(1, Ordering::Relaxed);
-            }
-            PageQueue::Inactive => {
-                g.inactive.push_back(id.0);
-                self.tallies[s].inactive.fetch_add(1, Ordering::Relaxed);
-            }
-            PageQueue::Free => self.give_free(id.0),
-            PageQueue::Wired => {
-                self.tallies[s].wired.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        g.unlink(&self.tallies[s], id.0, old);
+        g.link(&self.tallies[s], id.0, queue);
+    }
+
+    /// End a busy period without freeing the page: clear `busy`, and set
+    /// the dirty hint when `dirty`. Returns whether a waiter had set
+    /// `wanted` (and clears it); the caller, holding the owning object's
+    /// lock, then wakes the object's `busy_wakeup`. Balances an
+    /// [`ResidentTable::alloc`], a claim, or a fault's hold on the page.
+    pub fn release(&self, id: PageId, dirty: bool) -> bool {
+        self.with_page(id, |info| {
+            info.busy = false;
+            info.dirty |= dirty;
+            std::mem::take(&mut info.wanted)
+        })
     }
 
     /// Release a page back to the free pool, clearing its identity.
-    pub fn free_page(&self, id: PageId) {
+    /// Returns whether a waiter had set `wanted`, as
+    /// [`ResidentTable::release`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is wired or already free.
+    pub fn free_page(&self, id: PageId) -> bool {
         let s = self.qs(id.0);
-        let ident = {
+        let wanted = {
             let mut g = self.shards[s].lock();
             let info = g.pages.get_mut(&id.0).expect("known page");
             assert!(info.wire_count == 0, "cannot free a wired page");
-            let ident = info.identity.take();
-            let old = info.queue;
-            info.queue = PageQueue::Free;
+            let old = std::mem::replace(&mut info.queue, PageQueue::Free);
+            info.identity = None;
             info.busy = false;
-            info.wanted = false;
             info.dirty = false;
-            match old {
-                PageQueue::Active => {
-                    g.active.retain(|&p| p != id.0);
-                    self.tallies[s].active.fetch_sub(1, Ordering::Relaxed);
-                }
-                PageQueue::Inactive => {
-                    g.inactive.retain(|&p| p != id.0);
-                    self.tallies[s].inactive.fetch_sub(1, Ordering::Relaxed);
-                }
-                PageQueue::Free => panic!("double free of {id:?}"),
-                PageQueue::Wired => {
-                    self.tallies[s].wired.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            ident
+            let wanted = std::mem::take(&mut info.wanted);
+            g.unlink(&self.tallies[s], id.0, old);
+            wanted
         };
-        if let Some(ident) = ident {
-            self.hash[self.hs(ident.object_id, ident.offset)]
-                .lock()
-                .remove(&(ident.object_id, ident.offset));
-        }
         self.give_free(id.0);
+        wanted
     }
 
     /// Change a page's identity (shadow-chain collapse moves pages between
@@ -474,49 +458,31 @@ impl ResidentTable {
     ///
     /// # Panics
     ///
-    /// Panics if the page has no identity or the target slot is taken.
-    pub fn rekey(&self, id: PageId, new_object_id: u64, new_offset: u64, object: Weak<VmObject>) {
-        let old_key = {
-            let mut g = self.shards[self.qs(id.0)].lock();
-            let info = g.pages.get_mut(&id.0).expect("known page");
+    /// Panics if the page has no identity.
+    pub fn rekey(&self, id: PageId, object_id: u64, offset: u64, object: Weak<VmObject>) {
+        self.with_page(id, |info| {
             let ident = info.identity.as_mut().expect("page has identity");
-            let old_key = (ident.object_id, ident.offset);
-            ident.object_id = new_object_id;
-            ident.offset = new_offset;
-            ident.object = object;
-            old_key
-        };
-        self.hash[self.hs(old_key.0, old_key.1)]
-            .lock()
-            .remove(&old_key);
-        let prev = self.hash[self.hs(new_object_id, new_offset)]
-            .lock()
-            .insert((new_object_id, new_offset), id.0);
-        assert!(prev.is_none(), "rekey target already occupied");
+            *ident = PageIdentity {
+                object_id,
+                offset,
+                object,
+            };
+        });
     }
 
-    /// Drop a page's (object, offset) identity — hash entry included —
-    /// without freeing the frame. Used when a page leaves its object's
-    /// resident list ahead of the frame being released (pageout writes
-    /// the frame to backing store first): a concurrent fault must be
-    /// able to allocate a *new* page for the same (object, offset)
-    /// immediately.
+    /// Drop a page's (object, offset) identity without freeing the frame.
+    /// Used when a page leaves its object's resident map ahead of the
+    /// frame being released (pageout writes the frame to backing store
+    /// first), so the identity never names a map that no longer holds the
+    /// page.
     pub fn clear_identity(&self, id: PageId) {
-        let ident = {
-            let mut g = self.shards[self.qs(id.0)].lock();
-            g.pages.get_mut(&id.0).and_then(|info| info.identity.take())
-        };
-        if let Some(ident) = ident {
-            self.hash[self.hs(ident.object_id, ident.offset)]
-                .lock()
-                .remove(&(ident.object_id, ident.offset));
-        }
+        self.with_page(id, |info| info.identity = None);
     }
 
     /// Atomically claim a page for eviction: only an un-busy, un-wired
     /// page still on the inactive queue can be claimed, and claiming
     /// marks it busy so no one else (fault handler or a concurrent
-    /// reclaimer) touches it. Balance with [`ResidentTable::release_evict`]
+    /// reclaimer) touches it. Balance with [`ResidentTable::release`]
     /// or [`ResidentTable::free_page`].
     pub fn claim_evict(&self, id: PageId) -> bool {
         let mut g = self.shards[self.qs(id.0)].lock();
@@ -530,14 +496,6 @@ impl ResidentTable {
         true
     }
 
-    /// Release an eviction claim without freeing the page.
-    pub fn release_evict(&self, id: PageId) {
-        let mut g = self.shards[self.qs(id.0)].lock();
-        if let Some(info) = g.pages.get_mut(&id.0) {
-            info.busy = false;
-        }
-    }
-
     /// Atomically claim a page for teardown (object termination,
     /// quarantine, pager-requested flush). Fails if the page is already
     /// busy — an in-flight fill or pageout owns it and will free or
@@ -545,7 +503,7 @@ impl ResidentTable {
     /// wired. Claiming marks the page busy under the shard lock, so a
     /// concurrent [`ResidentTable::claim_evict`] and a teardown can never
     /// both think they own the same frame. Balance with
-    /// [`ResidentTable::free_page`] or [`ResidentTable::release_evict`].
+    /// [`ResidentTable::free_page`] or [`ResidentTable::release`].
     pub fn claim_teardown(&self, id: PageId, allow_wired: bool) -> bool {
         let mut g = self.shards[self.qs(id.0)].lock();
         let Some(info) = g.pages.get_mut(&id.0) else {
@@ -599,27 +557,19 @@ impl ResidentTable {
     }
 
     /// Wire a page (pin it against pageout).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is free.
     pub fn wire(&self, id: PageId) {
         let s = self.qs(id.0);
         let mut g = self.shards[s].lock();
         let info = g.pages.get_mut(&id.0).expect("known page");
         info.wire_count += 1;
-        if info.queue != PageQueue::Wired {
-            let old = info.queue;
-            info.queue = PageQueue::Wired;
-            match old {
-                PageQueue::Active => {
-                    g.active.retain(|&p| p != id.0);
-                    self.tallies[s].active.fetch_sub(1, Ordering::Relaxed);
-                }
-                PageQueue::Inactive => {
-                    g.inactive.retain(|&p| p != id.0);
-                    self.tallies[s].inactive.fetch_sub(1, Ordering::Relaxed);
-                }
-                PageQueue::Free => panic!("cannot wire a free page"),
-                PageQueue::Wired => {}
-            }
-            self.tallies[s].wired.fetch_add(1, Ordering::Relaxed);
+        let old = std::mem::replace(&mut info.queue, PageQueue::Wired);
+        if old != PageQueue::Wired {
+            g.unlink(&self.tallies[s], id.0, old);
+            g.link(&self.tallies[s], id.0, PageQueue::Wired);
         }
     }
 
@@ -632,22 +582,21 @@ impl ResidentTable {
         info.wire_count -= 1;
         if info.wire_count == 0 {
             info.queue = PageQueue::Active;
-            g.active.push_back(id.0);
-            self.tallies[s].wired.fetch_sub(1, Ordering::Relaxed);
-            self.tallies[s].active.fetch_add(1, Ordering::Relaxed);
+            g.unlink(&self.tallies[s], id.0, PageQueue::Wired);
+            g.link(&self.tallies[s], id.0, PageQueue::Active);
         }
     }
 
-    /// Every page currently belonging to `object_id` (diagnostics/tests).
+    /// Every page currently belonging to `object_id`, by a scan of the
+    /// page identities (diagnostics and tests).
     pub fn pages_of(&self, object_id: u64) -> Vec<(u64, PageId)> {
         let mut out = Vec::new();
-        for shard in &self.hash {
+        for shard in &self.shards {
             let g = shard.lock();
-            out.extend(
-                g.iter()
-                    .filter(|((oid, _), _)| *oid == object_id)
-                    .map(|((_, off), &id)| (*off, PageId(id))),
-            );
+            out.extend(g.pages.iter().filter_map(|(&id, info)| {
+                let ident = info.identity.as_ref()?;
+                (ident.object_id == object_id).then_some((ident.offset, PageId(id)))
+            }));
         }
         out
     }
@@ -666,16 +615,13 @@ mod tests {
     }
 
     #[test]
-    fn alloc_sets_identity_and_hash() {
+    fn alloc_sets_identity_and_busy() {
         let t = table_with(4);
         let p = t.alloc(7, 8192, Weak::new()).unwrap();
-        assert_eq!(t.lookup(7, 8192), Some(p));
-        assert_eq!(t.lookup(7, 0), None);
+        assert_eq!(t.pages_of(7), vec![(8192, p)]);
         assert!(t.with_page(p, |i| i.busy));
         let c = t.counts();
         assert_eq!((c.free, c.active), (3, 1));
-        // Stats: 2 lookups, 1 hit.
-        assert_eq!(t.lookup_stats(), (2, 1));
     }
 
     #[test]
@@ -690,11 +636,11 @@ mod tests {
         let t = table_with(2);
         let p = t.alloc(1, 0, Weak::new()).unwrap();
         t.free_page(p);
-        assert_eq!(t.lookup(1, 0), None);
+        assert!(t.pages_of(1).is_empty());
         assert_eq!(t.counts().free, 2);
         // The page can be reallocated with a new identity.
         let p2 = t.alloc(2, 4096, Weak::new()).unwrap();
-        assert_eq!(t.lookup(2, 4096), Some(p2));
+        assert_eq!(t.pages_of(2), vec![(4096, p2)]);
     }
 
     #[test]
@@ -735,12 +681,10 @@ mod tests {
     }
 
     #[test]
-    fn rekey_moves_hash_identity() {
+    fn rekey_moves_identity() {
         let t = table_with(1);
         let p = t.alloc(1, 0, Weak::new()).unwrap();
         t.rekey(p, 9, 12288, Weak::new());
-        assert_eq!(t.lookup(1, 0), None);
-        assert_eq!(t.lookup(9, 12288), Some(p));
         assert_eq!(t.pages_of(9), vec![(12288, p)]);
         assert!(t.pages_of(1).is_empty());
     }
@@ -850,19 +794,19 @@ mod tests {
     fn teardown_claim_excludes_eviction_and_vice_versa() {
         let t = table_with(2);
         let p = t.alloc(1, 0, Weak::new()).unwrap();
-        t.with_page(p, |i| i.busy = false);
+        t.release(p, false);
         t.set_queue(p, PageQueue::Inactive);
         // Winner takes the frame; the loser must back off.
         assert!(t.claim_evict(p));
         assert!(!t.claim_teardown(p, true), "busy page belongs to evictor");
-        t.release_evict(p);
+        t.release(p, false);
         assert!(t.claim_teardown(p, false));
         assert!(!t.claim_evict(p), "busy page belongs to teardown");
         t.free_page(p);
         assert!(!t.claim_teardown(p, true), "free pages cannot be claimed");
         // Wired pages are only claimable when the caller allows it.
         let w = t.alloc(1, 4096, Weak::new()).unwrap();
-        t.with_page(w, |i| i.busy = false);
+        t.release(w, false);
         t.wire(w);
         assert!(!t.claim_teardown(w, false));
         assert!(t.claim_teardown(w, true));
@@ -890,5 +834,109 @@ mod tests {
         let b = t.inactive_candidates_from(t.shard_count() / 2, 4);
         assert_eq!(a.len(), 4);
         assert_eq!(b.len(), 4);
+    }
+
+    #[test]
+    fn release_reports_and_clears_wanted() {
+        let t = table_with(1);
+        let p = t.alloc(1, 0, Weak::new()).unwrap();
+        assert!(!t.release(p, false), "nobody waited");
+        assert!(t.claim_teardown(p, false));
+        t.with_page(p, |i| i.wanted = true);
+        assert!(t.release(p, true), "a waiter set wanted");
+        t.with_page(p, |i| {
+            assert!(!i.busy && !i.wanted);
+            assert!(i.dirty, "release(.., true) sets the dirty hint");
+        });
+        assert!(t.claim_teardown(p, false));
+        assert!(!t.release(p, false), "wanted was cleared");
+        assert!(
+            t.with_page(p, |i| i.dirty),
+            "release(.., false) keeps the hint"
+        );
+    }
+
+    #[test]
+    fn free_page_reports_and_clears_wanted() {
+        let t = table_with(1);
+        let p = t.alloc(1, 0, Weak::new()).unwrap();
+        assert!(!t.free_page(p), "nobody waited");
+        let p = t.alloc(1, 0, Weak::new()).unwrap();
+        t.with_page(p, |i| i.wanted = true);
+        assert!(t.free_page(p), "a waiter set wanted");
+        let p = t.alloc(2, 0, Weak::new()).unwrap();
+        assert!(
+            !t.with_page(p, |i| i.wanted),
+            "the next owner starts unwanted"
+        );
+        assert!(!t.free_page(p));
+    }
+
+    /// DESIGN.md §7: every allocated page is in exactly one object's
+    /// resident map, at the offset its identity names. The object's map
+    /// is the only index of resident pages, so nothing else checks it.
+    #[test]
+    fn every_allocated_page_is_in_its_objects_map() {
+        use crate::kernel::Kernel;
+        use mach_hw::machine::{Machine, MachineModel};
+
+        let k = Kernel::boot(&Machine::boot(MachineModel::micro_vax_ii()));
+        let ps = k.page_size();
+        let parent = k.create_task();
+        let pages = 16;
+        let addr = parent
+            .map()
+            .allocate(k.ctx(), None, pages * ps, true)
+            .unwrap();
+        parent.user(0, |u| u.dirty_range(addr, pages * ps).unwrap());
+        for round in 0..24u64 {
+            let child = parent.fork();
+            child.user(0, |u| {
+                for i in (round % 3..pages).step_by(3) {
+                    u.write_u32(addr + i * ps, (round << 8 | i) as u32).unwrap();
+                }
+            });
+            parent.user(0, |u| u.write_u32(addr + (round % pages) * ps, 1).unwrap());
+            drop(child);
+            if round % 6 == 5 {
+                k.reclaim(8);
+            }
+        }
+        let stats = k.statistics();
+        assert!(stats.pageouts > 0, "{stats:?}");
+        assert!(stats.cow_faults > 0, "{stats:?}");
+        assert!(stats.collapses > 0, "{stats:?}");
+
+        // Page-state shards rank below `vm_object`: read every identity
+        // first, then visit the objects.
+        let rt = &k.ctx().resident;
+        let held: Vec<(u64, Option<PageIdentity>)> = rt
+            .shards
+            .iter()
+            .flat_map(|shard| {
+                let g = shard.lock();
+                g.pages
+                    .iter()
+                    .filter(|(_, info)| info.queue != PageQueue::Free)
+                    .map(|(&id, info)| (id, info.identity.clone()))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert!(!held.is_empty());
+        for (id, ident) in held {
+            let ident = ident.unwrap_or_else(|| panic!("allocated page {id} has no identity"));
+            let obj = ident
+                .object
+                .upgrade()
+                .unwrap_or_else(|| panic!("page {id}'s object {} is gone", ident.object_id));
+            assert_eq!(obj.id(), ident.object_id);
+            assert_eq!(
+                obj.lock().resident.get(&ident.offset),
+                Some(&PageId(id)),
+                "object {} does not hold page {id} at {:#x}",
+                ident.object_id,
+                ident.offset
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::ctx::CoreRefs;
-use crate::object::VmObject;
+use crate::fault::release_busy;
 use crate::page::{PageId, PageQueue};
 use crate::trace::{PagerMsg, TraceEvent};
 use crate::types::VmError;
@@ -134,19 +134,19 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
         return true;
     };
     let Some(mut s) = obj.try_lock_state() else {
-        release_claim(ctx, &obj, page);
+        release_busy(ctx, &obj, page, false);
         return false; // contended; try another page
     };
     if s.resident.get(&ident.offset) != Some(&page) {
         drop(s);
-        release_claim(ctx, &obj, page);
+        release_busy(ctx, &obj, page, false);
         return false; // identity changed under us
     }
     // Second chance: a referenced page goes back to the active queue.
     if ctx.machdep.is_referenced(pa, ps) {
         drop(s);
         ctx.machdep.clear_reference(pa, ps);
-        release_claim(ctx, &obj, page);
+        release_busy(ctx, &obj, page, false);
         ctx.resident.set_queue(page, PageQueue::Active);
         ctx.stats.reactivations.fetch_add(1, Ordering::Relaxed);
         ctx.trace_emit(0, obj.id(), ident.offset, TraceEvent::Reactivate);
@@ -206,21 +206,19 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
             // its data and identity, stays dirty (the modify bit was
             // consumed above, so pin the hint) and returns to the
             // inactive queue for a later daemon pass.
-            {
-                let mut s = obj.lock();
-                s.paging_in_progress -= 1;
+            let mut s = obj.lock();
+            s.paging_in_progress -= 1;
+            if ctx.resident.release(page, true) {
+                obj.busy_wakeup.notify_all();
             }
-            ctx.resident.with_page(page, |p| p.dirty = true);
             ctx.stats.failed_pageouts.fetch_add(1, Ordering::Relaxed);
-            release_claim(ctx, &obj, page);
             return false;
         }
         {
             let mut s = obj.lock();
             s.paging_in_progress -= 1;
-            // Only now does the page leave the object; the hash identity
-            // must vanish with the residency so a fault can allocate a
-            // replacement immediately.
+            // Only now does the page leave the object, and its identity
+            // with it; a fault can allocate a replacement immediately.
             if s.resident.get(&ident.offset) == Some(&page) {
                 s.resident.remove(&ident.offset);
             }
@@ -239,21 +237,12 @@ fn evict_one(ctx: &CoreRefs, page: PageId) -> bool {
     // The mappings went above; `page_free` also drops leftover
     // modify/reference bits, so the frame's next user starts clean.
     ctx.machdep.page_free(pa, ps);
-    ctx.resident.free_page(page);
-    // Anyone who was waiting on the (briefly busy) page rechecks and
-    // refaults through the object.
-    obj.busy_wakeup.notify_all();
+    if ctx.resident.free_page(page) {
+        // A fault asleep on the busy page rechecks and refaults through
+        // the object.
+        obj.wake_waiters();
+    }
     true
-}
-
-/// Give up an eviction claim and wake any fault that found the page busy
-/// and went to sleep on its object. Such a fault checks `busy` under the
-/// object lock, so taking that lock before notifying orders the wakeup
-/// after its check.
-fn release_claim(ctx: &CoreRefs, obj: &VmObject, page: PageId) {
-    ctx.resident.release_evict(page);
-    let _s = obj.lock();
-    obj.busy_wakeup.notify_all();
 }
 
 /// A background paging daemon keeping the free pool above a threshold.
@@ -520,6 +509,83 @@ mod tests {
         let freed = reclaim(ctx, 4);
         assert!(freed > 0);
         assert!(kernel.statistics().pageouts > 0);
+    }
+
+    /// A fault that finds a page busy under pageout sets `wanted` and
+    /// sleeps on the page's object. Pageout frees the page once it is
+    /// written and wakes the fault, which pages the data back in. Without
+    /// that wakeup the fault would sleep out `pager_timeout` and fail.
+    #[test]
+    fn a_fault_asleep_on_a_page_being_paged_out_wakes_when_it_is_freed() {
+        use std::sync::atomic::AtomicU8;
+        use std::time::Instant;
+        let machine = Machine::boot(MachineModel::multimax(2));
+        let dev = mach_fs::BlockDevice::new(&machine, 512);
+        let fs = mach_fs::SimFs::format(&dev);
+        let kernel = Kernel::boot_with_paging_file(&machine, &fs);
+        let ctx = kernel.ctx();
+        let ps = kernel.page_size();
+        let task = kernel.create_task();
+        let addr = task.map().allocate(ctx, None, ps, true).unwrap();
+        task.user(0, |u| u.write_u32(addr, 0xC0FFEE).unwrap());
+        let page = task
+            .map()
+            .resolve(ctx, addr)
+            .unwrap()
+            .object
+            .lock()
+            .resident[&0];
+        ctx.machdep.clear_reference(page.base(ps), ps);
+        ctx.resident.set_queue(page, PageQueue::Inactive);
+
+        // The first pageout write (stage 0 → 1) holds the page busy until
+        // a fault has set `wanted` on it (→ 2), or for at most 2 s (→ 3).
+        let stage = Arc::new(AtomicU8::new(0));
+        let (hook_stage, rt) = (Arc::clone(&stage), Arc::clone(&ctx.resident));
+        dev.set_fault_hook(Some(Arc::new(move |op, _| {
+            if op == mach_fs::IoOp::Write && hook_stage.swap(1, Ordering::AcqRel) == 0 {
+                let deadline = Instant::now() + Duration::from_secs(2);
+                let wanted = loop {
+                    if rt.with_page(page, |p| p.wanted) {
+                        break true;
+                    }
+                    if Instant::now() > deadline {
+                        break false;
+                    }
+                    std::thread::yield_now();
+                };
+                hook_stage.store(if wanted { 2 } else { 3 }, Ordering::Release);
+            }
+            None
+        })));
+        let (result, slept) = std::thread::scope(|s| {
+            let fault = s.spawn(|| {
+                let _cpu = machine.bind_cpu(1);
+                while stage.load(Ordering::Acquire) == 0 {
+                    std::thread::yield_now();
+                }
+                let t0 = Instant::now();
+                let r = crate::fault::vm_fault(ctx, task.map(), addr, Protection::READ, false);
+                (r, t0.elapsed())
+            });
+            let _cpu = machine.bind_cpu(0);
+            assert!(evict_one(ctx, page), "the page was paged out");
+            fault.join().unwrap()
+        });
+        assert_eq!(
+            stage.load(Ordering::Acquire),
+            2,
+            "the fault slept on the page"
+        );
+        let refaulted = result.expect("the fault woke before pager_timeout");
+        assert!(
+            slept < ctx.pager_timeout / 2,
+            "the fault slept {slept:?} (pager_timeout {:?})",
+            ctx.pager_timeout
+        );
+        let word = ctx.machine.phys().read_u32(refaulted.base(ps)).unwrap();
+        assert_eq!(word, 0xC0FFEE, "the data came back from the paging file");
+        assert!(kernel.statistics().pageins > 0);
     }
 
     /// Two CPUs reclaiming at once: each may drain deferred flushes the

@@ -13,7 +13,7 @@ pub struct VmStatsAtomic {
     pub zero_fill: AtomicU64,
     /// Faults that pushed a copy-on-write page.
     pub cow_faults: AtomicU64,
-    /// Faults satisfied from the object/offset hash (page was resident).
+    /// Faults that found the page resident in an object's map.
     pub resident_hits: AtomicU64,
     /// Faults that called a pager for data.
     pub pageins: AtomicU64,

@@ -372,8 +372,7 @@ fn handle_pager_message_once(
             }
             if revoke.is_none() {
                 // Unlock: wake waiting faults.
-                let _s = obj.lock();
-                obj.busy_wakeup.notify_all();
+                obj.wake_waiters();
             }
         }
         ops::PAGER_CLEAN_REQUEST => {
@@ -451,20 +450,19 @@ fn handle_pager_message_once(
                     continue;
                 }
                 let mut s = obj.lock();
-                if s.resident.get(&off) == Some(&p) {
-                    s.resident.remove(&off);
-                    ctx.resident.clear_identity(p);
-                    drop(s);
-                    let pa = p.base(page);
-                    ctx.machdep.page_free(pa, page);
-                    ctx.resident.free_page(p);
-                    obj.busy_wakeup.notify_all();
-                } else {
-                    // Un-busy under the object lock, then wake: a fault
-                    // that saw the claim is asleep on this object.
-                    ctx.resident.release_evict(p);
-                    drop(s);
-                    obj.busy_wakeup.notify_all();
+                if s.resident.get(&off) != Some(&p) {
+                    // Moved since the range was read: give the claim back.
+                    if ctx.resident.release(p, false) {
+                        obj.busy_wakeup.notify_all();
+                    }
+                    continue;
+                }
+                s.resident.remove(&off);
+                ctx.resident.clear_identity(p);
+                drop(s);
+                ctx.machdep.page_free(p.base(page), page);
+                if ctx.resident.free_page(p) {
+                    obj.wake_waiters();
                 }
             }
             if let Some(seq) = seq {

@@ -479,14 +479,17 @@ impl<T: HwTables> HwMapper for PortChassis<T> {
         let mut intact = true;
         let mut g = self.tables.lock();
         for (i, bits) in (0..).zip(attrs.iter_mut()) {
-            match self.tables.clear(&mut g, va + i * T::PAGE_SIZE) {
-                Some((pfn, a)) => {
-                    self.shared.resident.fetch_sub(1, Ordering::Relaxed);
-                    *bits |= a & (ATTR_MOD | ATTR_REF);
-                    intact &= pfn.0 == first.0 + i;
-                }
-                None => intact = false,
+            let v = va + i * T::PAGE_SIZE;
+            // A racing `enter` may have replaced the recorded frame here:
+            // that mapping, its pv entry and its bits belong to the new
+            // frame, so leave them alone.
+            if self.tables.lookup(&g, v) != Some(Pfn(first.0 + i)) {
+                intact = false;
+                continue;
             }
+            let (_, a) = self.tables.clear(&mut g, v).expect("looked up");
+            self.shared.resident.fetch_sub(1, Ordering::Relaxed);
+            *bits |= a & (ATTR_MOD | ATTR_REF);
         }
         intact
     }
@@ -669,5 +672,50 @@ impl<F: PortFactory> MachDep for ChassisMachDep<F> {
 
     fn stats(&self) -> PmapStats {
         self.core.counters.snapshot()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mach_hw::machine::MachineModel;
+
+    /// `remove_all` takes a frame's pv entries first and clears their
+    /// mappings after. A COW fault can re-enter one of those addresses to
+    /// a new frame in between; clearing then must leave the new frame's
+    /// mapping, pv entry and modify bit alone.
+    #[test]
+    fn clear_hw_leaves_a_mapping_a_racing_enter_replaced() {
+        let machine = Machine::boot(MachineModel::micro_vax_ii());
+        let md = crate::vax::VaxMachDep::new(&machine);
+        let hw = machine.hw_page_size();
+        let (a, b) = (
+            machine.frames().alloc().unwrap(),
+            machine.frames().alloc().unwrap(),
+        );
+        let va = VAddr(0x10000);
+        let rw = HwProt::READ | HwProt::WRITE;
+        let _cpu = machine.bind_cpu(0);
+        let pmap = md.create();
+        pmap.activate(0);
+        pmap.enter(va, a.base(hw), hw, rw, false);
+        let taken = md.core.pv.take(a, 1, 0);
+        assert_eq!(taken.len(), 1);
+        pmap.enter(va, b.base(hw), hw, rw, false);
+        machine.store_u32(va, 7).expect("mapped");
+
+        let run = &taken[0];
+        let mut bits = [0u8];
+        let intact = run
+            .mapper
+            .upgrade()
+            .unwrap()
+            .clear_hw(run.va, run.first, &mut bits);
+        assert!(!intact, "the address no longer maps frame A");
+        assert_eq!(bits, [0], "the new frame's bits went to the old frame");
+        assert_eq!(pmap.extract(va), Some(b.base(hw)), "B's mapping survives");
+        assert_eq!(md.mapping_count(b.base(hw)), 1, "B's pv entry survives");
+        assert!(md.is_modified(b.base(hw), hw), "B's modify bit survives");
+        pmap.deactivate(0);
     }
 }
